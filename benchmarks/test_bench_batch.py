@@ -9,7 +9,10 @@ same numbers the CI ``batch-smoke`` job records to ``BENCH_batch.json``
   breaker overhead per request on top of the raw physics;
 * **farm overhead** — the same workload sharded through the solve farm
   (``evaluate_batch_farm``) quantifies what the durable queue, sandbox
-  spawn and exactly-once commit cost per chunk.
+  spawn and exactly-once commit cost per chunk;
+* **stagnation requests** — four full-VSL ``stagnation`` requests (6 to
+  12 km/s, 55 to 80 km) through the default sandboxed front door: the
+  heavy method users actually wait on.
 """
 
 import os
@@ -52,6 +55,26 @@ def test_bench_batch_serial_throughput(once):
     assert led["requests_per_s"] > 20
     write_bench_json(BENCH_PATH, batch_bench_record(result,
                                                     mode="serial"))
+
+
+#: Full-VSL stagnation points: (V [m/s], h [m], nose radius [m]).
+STAGNATION_POINTS = ((6000.0, 55000.0, 1.0), (9000.0, 80000.0, 0.4),
+                     (12000.0, 67000.0, 2.0), (7500.0, 80000.0, 0.6))
+
+
+def test_bench_batch_stagnation_requests(once):
+    """Requests/sec and latency of full-VSL stagnation requests."""
+    reqs = [{"method": "stagnation", "V": V, "h": h, "nose_radius": rn}
+            for V, h, rn in STAGNATION_POINTS]
+    result = once(lambda: evaluate_batch(
+        reqs, BatchPolicy(request_deadline=120.0)))
+    led = result.ledger
+    assert led["counts"] == {"ok": len(reqs)}
+    assert all(env.rung == "vsl" for env in result.envelopes)
+    lat = led["latency_s"]
+    print(f"\nbatch stagnation: {len(reqs)} requests in "
+          f"{led['wall_s']:.2f} s -> {led['requests_per_s']:.2f} req/s "
+          f"(p50 {lat['p50']:.2f} s, p99 {lat['p99']:.2f} s)")
 
 
 def test_bench_batch_farm_overhead(once, tmp_path):

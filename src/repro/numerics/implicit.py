@@ -13,9 +13,12 @@ stability limit from the flow solver's CFL condition.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from repro.thermo.kinetics import ReactionMechanism
+if TYPE_CHECKING:
+    from repro.thermo.kinetics import ReactionMechanism
 
 __all__ = ["point_implicit_species_update"]
 

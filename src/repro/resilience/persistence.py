@@ -7,20 +7,23 @@ hypersonic codes do, by treating restart files as first-class state.
 
 A durable snapshot is two files in a checkpoint directory:
 
-* ``ckpt-<seq>.npz`` — every array of the solver's marching state plus
-  the constructor arrays needed to rebuild it (grid nodes, cell edges),
+* ``ckpt-<seq>-<pid>-<token>.npz`` — every array of the solver's marching
+  state plus the constructor arrays needed to rebuild it (grid nodes,
+  cell edges), under a name unique to its writer,
 * ``ckpt-<seq>.json`` — the manifest: schema version, fully-qualified
   solver class, a JSON config whose SHA-256 **fingerprint** guards
   against resuming the wrong run, step/time clocks, march/run bookkeeping
-  and a per-array SHA-256 checksum table.
+  a per-array SHA-256 checksum table and the payload's file name.
 
-Writes are atomic and ordered (payload → fsync → rename, then manifest →
-fsync → rename, then directory fsync): the manifest is the commit record,
-so a crash at any instant leaves either the previous generation intact or
-a torn tail that verification rejects.  A keep-last-K retention ladder
-bounds disk use, and :meth:`SnapshotStore.load_latest` walks generations
-newest-first, checksumming every array and falling back a generation on
-any corruption (torn write, truncation, bit flip — each scripted by
+Writes are ordered (payload → fsync, then manifest → fsync → exclusive
+link, then directory fsync): the manifest is the commit record, so a
+crash at any instant leaves either the previous generation intact or a
+torn tail that verification rejects.  Because every writer's payload has
+its own name, concurrent writers racing one generation never touch each
+other's files.  A keep-last-K retention ladder bounds disk use, and
+:meth:`SnapshotStore.load_latest` walks generations newest-first,
+checksumming every array and falling back a generation on any
+corruption (torn write, truncation, bit flip — each scripted by
 :meth:`~repro.resilience.faults.FaultInjector.inject_io_fault` so every
 recovery path is tested).
 
@@ -45,6 +48,7 @@ import io
 import json
 import os
 import re
+import secrets
 import time
 import zipfile
 from dataclasses import dataclass, field
@@ -271,10 +275,23 @@ class SnapshotStore:
 
     # -- paths ----------------------------------------------------------
 
+    def _manifest_path(self, seq: int) -> str:
+        return os.path.join(self.dir, f"ckpt-{seq:08d}.json")
+
     def _paths(self, seq: int):
-        stem = f"ckpt-{seq:08d}"
-        return (os.path.join(self.dir, stem + ".npz"),
-                os.path.join(self.dir, stem + ".json"))
+        """``(payload, manifest)`` paths of generation ``seq``; the
+        payload name is the one its manifest records."""
+        man_path = self._manifest_path(seq)
+        with open(man_path, "rb") as f:
+            manifest = json.loads(f.read().decode())
+        return self._payload_path(manifest), man_path
+
+    def _payload_path(self, manifest: dict) -> str:
+        name = manifest["npz"]
+        if not isinstance(name, str) or os.path.basename(name) != name:
+            raise CheckpointError(f"manifest payload name {name!r} is not "
+                                  f"a file in the store")
+        return os.path.join(self.dir, name)
 
     def sequences(self) -> list[int]:
         """Committed generation numbers, ascending (manifest = commit)."""
@@ -295,14 +312,12 @@ class SnapshotStore:
         finally:
             os.close(fd)
 
-    def _atomic_write(self, path: str, data: bytes):
-        tmp = os.path.join(self.dir, f".tmp-{os.path.basename(path)}")
-        with open(tmp, "wb") as f:
+    def _write(self, path: str, data: bytes):
+        with open(path, "wb") as f:
             f.write(data)
             f.flush()
             if self.policy.fsync:
                 os.fsync(f.fileno())
-        os.replace(tmp, path)
 
     def _commit_exclusive(self, path: str, data: bytes) -> bool:
         """Commit ``data`` at ``path`` only if no one else has: the
@@ -314,11 +329,7 @@ class SnapshotStore:
         trajectory into the same store.)"""
         tmp = os.path.join(self.dir,
                            f".tmp-{os.getpid()}-{os.path.basename(path)}")
-        with open(tmp, "wb") as f:
-            f.write(data)
-            f.flush()
-            if self.policy.fsync:
-                os.fsync(f.fileno())
+        self._write(tmp, data)
         try:
             os.link(tmp, path)
         except FileExistsError:
@@ -337,11 +348,12 @@ class SnapshotStore:
              converged: bool = False, label: str | None = None) -> int:
         """Commit one durable snapshot of ``solver``; returns its seq.
 
-        Ordering makes the write crash-safe: payload tempfile → fsync →
-        rename, manifest tempfile → fsync → exclusive hard link (the
-        commit point — concurrent writers racing one generation number
-        settle there, the loser retries on the next seq), directory
-        fsync, *then* retention trims old generations.
+        Ordering makes the write crash-safe: payload under a name unique
+        to this writer → fsync, manifest tempfile → fsync → exclusive
+        hard link (the commit point — concurrent writers racing one
+        generation number settle there; the loser deletes its payload
+        and retries on the next seq), directory fsync, *then* retention
+        trims old generations.
         """
         observer = _SAVE_OBSERVER
         if observer is not None:
@@ -356,8 +368,11 @@ class SnapshotStore:
         buf = io.BytesIO()
         np.savez(buf, **arrays)
         while True:
-            npz_path, man_path = self._paths(seq)
-            self._atomic_write(npz_path, buf.getvalue())
+            man_path = self._manifest_path(seq)
+            npz_path = os.path.join(
+                self.dir, f"ckpt-{seq:08d}-{os.getpid()}-"
+                          f"{secrets.token_hex(4)}.npz")
+            self._write(npz_path, buf.getvalue())
             manifest = {
                 "schema_version": MANIFEST_SCHEMA_VERSION,
                 "seq": seq,
@@ -379,9 +394,9 @@ class SnapshotStore:
                     man_path, json.dumps(manifest, indent=1).encode()):
                 break
             # a concurrent writer committed this generation between our
-            # sequences() scan and the link: take the next number (at
-            # worst the race leaves one generation whose payload the
-            # checksum rejects at load, and the walk falls back)
+            # sequences() scan and the link: drop our payload and take
+            # the next number
+            os.remove(npz_path)
             seq += 1
         self._fsync_dir()
         if self.faults is not None:
@@ -392,23 +407,30 @@ class SnapshotStore:
         return seq
 
     def _retain(self):
-        for seq in self.sequences()[:-self.policy.keep_last]:
-            for path in self._paths(seq):
+        """Delete every file of the generations beyond ``keep_last``
+        (manifest, payload, and any payload a crashed writer left under
+        the same seq)."""
+        old = tuple(f"ckpt-{seq:08d}"
+                    for seq in self.sequences()[:-self.policy.keep_last])
+        if not old:
+            return
+        for name in os.listdir(self.dir):
+            if name.startswith(old):
                 try:
-                    os.remove(path)
+                    os.remove(os.path.join(self.dir, name))
                 except OSError:
                     pass
 
     # -- load -----------------------------------------------------------
 
     def _verify_one(self, seq: int) -> LoadedSnapshot:
-        npz_path, man_path = self._paths(seq)
-        with open(man_path, "rb") as f:
+        with open(self._manifest_path(seq), "rb") as f:
             manifest = json.loads(f.read().decode())
         if manifest.get("schema_version") != MANIFEST_SCHEMA_VERSION:
             raise CheckpointError(
                 f"manifest schema {manifest.get('schema_version')!r} != "
                 f"{MANIFEST_SCHEMA_VERSION}")
+        npz_path = self._payload_path(manifest)
         entries = manifest["payload"]
         with np.load(npz_path) as npz:
             loaded = {k: np.array(npz[k]) for k in npz.files}

@@ -1,20 +1,19 @@
 """Compressible laminar boundary layer (the BL of E+BL).
 
-Two levels of fidelity:
+:class:`StagnationSimilarityBL` solves the Lees–Dorodnitsyn similarity
+equations at an axisymmetric stagnation point::
 
-* :class:`StagnationSimilarityBL` — the Lees–Dorodnitsyn similarity
-  equations at an axisymmetric stagnation point::
+    (C f'')' + f f'' + beta (rho_e/rho - f'^2) = 0,  beta = 1/2
+    (C/Pr g')' + f g' = 0
 
-      (C f'')' + f f'' + beta (rho_e/rho - f'^2) = 0,  beta = 1/2
-      (C/Pr g')' + f g' = 0
-
-  with C = (rho mu)/(rho_e mu_e) evaluated along the layer from the local
-  enthalpy at the (constant) edge pressure — for the equilibrium-air gas
-  model this is a numerical Fay–Riddell calculation.  Solved by shooting
-  on (f''(0), g'(0)).
-
-* :func:`marching_heating` — local-similarity (Lees) downstream heating
-  built on the stagnation solution, for full-body distributions.
+with C = (rho mu)/(rho_e mu_e) evaluated along the layer from the local
+enthalpy at the (constant) edge pressure — for the equilibrium-air gas
+model this is a numerical Fay–Riddell calculation.  The two-point
+problem (f = f' = 0, g = gw at the wall; f' = g = 1 at the edge) is
+solved in one collocation solve of the first-order system; strongly
+cooled real-gas walls that defeat the direct solve are reached by a
+(gw, C) continuation ladder.  Downstream (local-similarity) heating
+built on this stagnation solution lives in :mod:`repro.solvers.pns`.
 
 Self-similar incompressible limits (Blasius for the flat plate via
 beta = 0, Homann-like stagnation values) validate the implementation.
@@ -23,14 +22,24 @@ beta = 0, Homann-like stagnation values) validate the implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# solve_ivp stays bound here: perfbench/layers.py wraps this module's name
+from scipy.integrate import solve_bvp, solve_ivp  # noqa: F401
 
 from repro.errors import ConvergenceError, InputError
 
 __all__ = ["StagnationSimilarityBL", "BLSolution", "solve_falkner_skan"]
+
+#: Collocation residual tolerance and mesh-node cap.  C(g) is usually a
+#: piecewise-linear table, so dC/dg jumps at the table nodes and the mesh
+#: refines around every kink: a 48-node air table ends near 1,100 nodes
+#: at this tolerance, and much tighter ones exhaust any sensible cap.
+_BVP_TOL = 1e-5
+_MAX_NODES = 5000
+#: Nodes of the initial collocation mesh and of the returned profile.
+_N_MESH = 161
+_N_OUT = 201
 
 
 @dataclass
@@ -45,13 +54,14 @@ class BLSolution:
     gp0: float             #: wall heat parameter g'(0)
 
 
-def _integrate(beta, C_of_g, Pr, gw, fpp0, gp0, eta_max, n_eval=201):
-    """Integrate the similarity system from the wall with given slopes."""
+def _similarity_rhs(beta, C_of_g, Pr, gw):
+    """Right-hand side z' = rhs(eta, z) of the first-order system
+    z = (f, f', f'', g, g'), vectorised over the columns of z."""
 
     def rhs(eta, z):
         f, fp, fpp, g, gp = z
-        # clip runaway trial trajectories so bad shooting guesses return a
-        # large-but-finite residual instead of overflowing the integrator
+        # clip runaway Newton iterates so a bad trial profile returns a
+        # large-but-finite residual instead of overflowing
         f = np.clip(f, -50.0, 50.0)
         fp = np.clip(fp, -10.0, 10.0)
         fpp = np.clip(fpp, -100.0, 100.0)
@@ -67,12 +77,9 @@ def _integrate(beta, C_of_g, Pr, gw, fpp0, gp0, eta_max, n_eval=201):
         rho_ratio = _rho_e_over_rho(g, gw)
         fppp = (-f * fpp - beta * (rho_ratio - fp * fp) - Cp * fpp) / C
         gpp = (-f * gp * Pr / C) - (Cp / C) * gp
-        return [fp, fpp, fppp, gp, gpp]
+        return np.array([fp, fpp, fppp, gp, gpp])
 
-    sol = solve_ivp(rhs, (0.0, eta_max), [0.0, 0.0, fpp0, gw, gp0],
-                    method="RK45", rtol=1e-9, atol=1e-11,
-                    t_eval=np.linspace(0.0, eta_max, n_eval))
-    return sol
+    return rhs
 
 
 def _rho_e_over_rho(g, gw):
@@ -86,73 +93,67 @@ def _rho_e_over_rho(g, gw):
     return np.maximum(g, 0.05)
 
 
+def _starting_profile(beta, gw, eta):
+    """Exponential-approach profile whose wall shear is the empirical
+    f''(0) across the beta range, with g following f' (Crocco-like)."""
+    a = 0.47 + 0.62 * beta
+    # catlint: disable=CAT004 -- a > 0 and eta >= 0: the exponent is <= 0
+    decay = np.exp(-a * eta)
+    fp = 1.0 - decay
+    fpp = a * decay
+    return np.array([eta - fp / a, fp, fpp, gw + (1.0 - gw) * fp,
+                     (1.0 - gw) * fpp])
+
+
+def _collocate(beta, Pr, gw, C_of_g, eta, z):
+    """One collocation solve on mesh ``eta`` from profile ``z``."""
+
+    def bc(z0, z_edge):
+        return np.array([z0[0], z0[1], z0[3] - gw,
+                         z_edge[1] - 1.0, z_edge[3] - 1.0])
+
+    sol = solve_bvp(_similarity_rhs(beta, C_of_g, Pr, gw), bc, eta, z,
+                    tol=_BVP_TOL, max_nodes=_MAX_NODES)
+    if not sol.success:
+        raise ConvergenceError(f"BL collocation failed: {sol.message}")
+    return sol
+
+
 def solve_falkner_skan(beta, *, Pr=0.71, gw=1.0, C_of_g=None,
-                       eta_max=8.0, tol=1e-6, max_iter=60, _guess=None):
-    """Shooting solution of the similarity system.
+                       eta_max=8.0):
+    """Collocation solution of the similarity system.
 
     ``beta = 0`` with C = 1, g = 1 reduces to Blasius; ``beta = 1/2`` is
     the axisymmetric stagnation point.  Strongly cooled real-gas walls
     (gw << 1, C far from 1) are reached by parameter continuation from an
-    easy nearby problem when the direct Newton fails.
+    easy nearby problem when the direct solve fails.
 
-    Returns a :class:`BLSolution`.
+    Returns a :class:`BLSolution` on a uniform 201-point eta grid.
     """
     if C_of_g is None:
         C_of_g = lambda g: np.ones_like(np.asarray(g, float))  # noqa: E731
+    eta = np.linspace(0.0, eta_max, _N_MESH)
     try:
-        return _shoot(beta, Pr, gw, C_of_g, eta_max, tol, max_iter,
-                      _guess)
+        sol = _collocate(beta, Pr, gw, C_of_g, eta,
+                         _starting_profile(beta, gw, eta))
     except ConvergenceError:
-        # continuation: blend from (gw=0.8, C=1) toward the target
-        ident = lambda g: np.ones_like(np.asarray(g, float))  # noqa: E731
-        guess = None
+        # continuation: blend from (gw=0.8, C=1) toward the target, each
+        # rung starting from the previous rung's mesh and profile
+        z = _starting_profile(beta, 0.8, eta)
         for w in (0.0, 0.3, 0.6, 0.85, 1.0):
             gw_k = 0.8 + w * (gw - 0.8)
 
             def C_k(g, w=w):
-                return (1.0 - w) * ident(g) + w * np.asarray(C_of_g(g),
-                                                             float)
+                return (1.0 - w) + w * np.asarray(C_of_g(g), float)
 
-            sol = _shoot(beta, Pr, gw_k, C_k, eta_max, tol, max_iter,
-                         guess)
-            guess = (sol.fpp0, sol.gp0)
-        return sol
-
-
-def _shoot(beta, Pr, gw, C_of_g, eta_max, tol, max_iter, guess=None):
-    """One direct Newton shooting solve."""
-    if guess is not None:
-        fpp0, gp0 = guess
-    else:
-        # empirical starting guesses across the beta/cooling range
-        fpp0 = 0.47 + 0.62 * beta
-        gp0 = max(0.35 * (1.0 - gw), 1e-4)
-    for it in range(max_iter):
-        sol = _integrate(beta, C_of_g, Pr, gw, fpp0, gp0, eta_max)
-        if not sol.success:
-            raise ConvergenceError("BL integration failed")
-        r1 = sol.y[1, -1] - 1.0      # f'(inf) = 1
-        r2 = sol.y[3, -1] - 1.0      # g(inf) = 1
-        if abs(r1) < tol and abs(r2) < tol:
-            return BLSolution(eta=sol.t, f=sol.y[0], fp=sol.y[1],
-                              g=sol.y[3], fpp0=fpp0, gp0=gp0)
-        # numerical Jacobian on the two shooting parameters
-        d1, d2 = max(1e-6, 1e-4 * abs(fpp0)), max(1e-7, 1e-4 * abs(gp0))
-        s1 = _integrate(beta, C_of_g, Pr, gw, fpp0 + d1, gp0, eta_max)
-        s2 = _integrate(beta, C_of_g, Pr, gw, fpp0, gp0 + d2, eta_max)
-        J = np.array([[(s1.y[1, -1] - 1.0 - r1) / d1,
-                       (s2.y[1, -1] - 1.0 - r1) / d2],
-                      [(s1.y[3, -1] - 1.0 - r2) / d1,
-                       (s2.y[3, -1] - 1.0 - r2) / d2]])
-        try:
-            step = np.linalg.solve(J, -np.array([r1, r2]))
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular shooting Jacobian") from None
-        lim = 0.5 * max(abs(fpp0), 0.2)
-        fpp0 += float(np.clip(step[0], -lim, lim))
-        gp0 += float(np.clip(step[1], -lim, lim))
-    raise ConvergenceError("BL shooting failed to converge",
-                           iterations=max_iter)
+            sol = _collocate(beta, Pr, gw_k, C_k, eta, z)
+            eta, z = sol.x, sol.y
+    eta_out = np.linspace(0.0, eta_max, _N_OUT)
+    f, fp, _, g, _ = sol.sol(eta_out)
+    # the wall values are imposed: pin them against Newton round-off
+    f[0], fp[0], g[0] = 0.0, 0.0, gw
+    return BLSolution(eta=eta_out, f=f, fp=fp, g=g,
+                      fpp0=float(sol.y[2, 0]), gp0=float(sol.y[4, 0]))
 
 
 class StagnationSimilarityBL:

@@ -135,8 +135,8 @@ def equilibrium_normal_shock(gas: EquilibriumGas, rho1, T1, u1, *,
     """Normal shock with equilibrium real-gas downstream state.
 
     Upstream is taken as the (frozen) reference mixture at (rho1, T1)
-    moving at u1 in the shock frame.  Solves Rankine–Hugoniot by fixed-
-    point iteration on the inverse density ratio::
+    moving at u1 in the shock frame.  Solves Rankine–Hugoniot by a
+    guarded secant iteration on the inverse density ratio::
 
         eps = rho1/rho2
         u2  = eps u1
@@ -158,48 +158,59 @@ def equilibrium_normal_shock(gas: EquilibriumGas, rho1, T1, u1, *,
         raise InputError("equilibrium shock requires supersonic upstream")
     eps = 0.1  # strong-shock starting guess
     T2 = max(4.0 * T1, 1000.0)
+    eps_prev = res_prev = None
     for it in range(max_iter):
         u2 = eps * u1
         p2 = p1 + rho1 * u1**2 * (1.0 - eps)
         h2 = h1 + 0.5 * u1**2 * (1.0 - eps**2)
-        # find T2 with h_eq(T2, p2) = h2 (secant, warm start)
+        # find T2 with h_eq(T2, p2) = h2 (bracketed Newton, warm start)
         T2 = _solve_T_of_h_p(gas, h2, p2, T2)
         y2, rho2 = gas.composition_T_p(np.array(T2), np.array(p2))
         rho2 = float(rho2)
         eps_new = rho1 / rho2
-        if abs(eps_new - eps) < tol:
+        res = eps_new - eps
+        if abs(res) < tol:
             return {"rho2": rho2, "T2": T2, "p2": p2, "u2": eps_new * u1,
                     "y2": y2, "eps": eps_new, "p1": p1, "h1": h1}
-        # damped update (the map is a contraction for strong shocks)
-        eps = 0.7 * eps_new + 0.3 * eps
+        # secant on the fixed-point residual; the damped update (the map
+        # is a contraction for strong shocks) starts it and takes over
+        # whenever the secant step leaves (0, 1)
+        eps_next = 0.7 * eps_new + 0.3 * eps
+        if res_prev is not None and res != res_prev:
+            # catlint: disable=CAT003 -- res != res_prev checked above
+            secant = eps - res * (eps - eps_prev) / (res - res_prev)
+            if 0.0 < secant < 1.0:
+                eps_next = secant
+        eps_prev, res_prev = eps, res
+        eps = eps_next
     raise ConvergenceError("equilibrium shock iteration failed",
                            iterations=max_iter)
 
 
 def _solve_T_of_h_p(gas: EquilibriumGas, h_target, p, T_guess, *,
                     tol=1e-10, max_iter=60):
-    """Invert h_eq(T, p) = h for T (monotone; guarded secant)."""
+    """Invert h_eq(T, p) = h for T (monotone; bracketed Newton).
+
+    Each iterate evaluates h at T and at T + dT (the slope) in one
+    batched equilibrium solve.
+    """
     T = float(T_guess)
-
-    def h_of(T):
-        y, _ = gas.composition_T_p(np.array(T), np.array(p))
-        return float(gas.mix.h_mass(np.array(T), y)[0]) \
-            if np.ndim(y) > 1 else float(gas.mix.h_mass(np.array(T), y))
-
+    p_pair = np.full(2, float(p), dtype=np.float64)
     T_lo, T_hi = 50.0, 1.0e5
-    f = h_of(T) - h_target
     for _ in range(max_iter):
+        dT = 0.01 * T
+        T_pair = np.array([T, T + dT])
+        y, _ = gas.composition_T_p(T_pair, p_pair)
+        h, h_pert = gas.mix.h_mass(T_pair, y)
+        f = h - h_target
         if abs(f) < tol * max(abs(h_target), 1e4):
             return T
         if f > 0:
             T_hi = T
         else:
             T_lo = T
-        dT = 0.01 * T
-        slope = (h_of(T + dT) - (f + h_target)) / dT
-        T_new = T - f / max(slope, 1.0)
+        T_new = T - f / max((h_pert - h) / dT, 1.0)
         if not (T_lo < T_new < T_hi):
             T_new = 0.5 * (T_lo + T_hi)
         T = T_new
-        f = h_of(T) - h_target
     raise ConvergenceError("T(h, p) inversion failed", iterations=max_iter)

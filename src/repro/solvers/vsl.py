@@ -95,7 +95,7 @@ class StagnationVSL:
             is reduced by the radiated energy per unit mass transit.
 
         Any toolkit failure inside the stack (shock solve, Gibbs
-        equilibrium, similarity shoot, radiation) is re-raised with a
+        equilibrium, similarity collocation, radiation) is re-raised with a
         :class:`~repro.resilience.FailureReport` attached carrying the
         flight condition — the diagnostic bundle production triage
         starts from.
@@ -136,7 +136,7 @@ class StagnationVSL:
 
         # ---- viscous sublayer (similarity) ----
         # tabulate the equilibrium (rho mu)(h) closure at p_stag once; the
-        # shooting iteration then interpolates (thousands of evaluations)
+        # collocation solve then interpolates (thousands of evaluations)
         h_w = float(self._wall_enthalpy(T_wall, p_stag))
         T_tab = np.geomspace(max(0.5 * T_wall, 150.0), 1.15 * T_e, 48)
         y_tab, rho_tab = gas.composition_T_p(T_tab,

@@ -397,17 +397,36 @@ class EquilibriumSolver:
         mbar = 0.02  # kg/mol ballpark; corrected by the iteration
         rho = p_f * mbar / (_R * T_f)
         lam = None
+        x_prev = r_prev = None
         for it in range(max_iter):
             y, lam = self.solve_rho_T(rho, T_f, b_arr, lam0=lam,
                                       return_lambda=True)
             R_mix = self.mix.gas_constant(y)
             p_calc = rho * R_mix * T_f
             ratio = p_f / p_calc
-            if np.all(np.abs(ratio - 1.0) < tol):
+            done = np.abs(ratio - 1.0) < tol
+            if np.all(done):
                 return y, rho
-            # p is (weakly) super-linear in rho at fixed T; a damped
-            # fixed-point on log rho converges in a handful of iterations.
-            rho = rho * ratio
+            # per-state secant on r(ln rho) = ln(p_calc/p).  Its slope is
+            # 1 for a frozen composition -- the fixed point rho *= p/p_calc
+            # that starts the secant and replaces any step whose slope
+            # estimate is implausible -- and falls below 1 as the gas
+            # recombines under compression.
+            # catlint: disable=CAT001 -- rho starts at p/(R T) > 0 and
+            # only ever moves by exp(); ratio is a quotient of pressures
+            x, r = np.log(rho), -np.log(ratio)
+            step = r
+            if x_prev is not None:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    # catlint: disable=CAT003 -- a vanishing difference
+                    # gives a non-finite slope, rejected just below
+                    slope = (r - r_prev) / (x - x_prev)
+                    ok = np.isfinite(slope) & (slope > 0.1) & (slope < 10.0)
+                    step = np.where(ok, r / slope, r)
+            x_prev, r_prev = x, r
+            # catlint: disable=CAT004 -- the step is at most 10 |r|, and
+            # |r| = |ln(p_calc/p)| stays O(1) from the first iterate on
+            rho = np.where(done, rho, np.exp(x - step))
         raise ConvergenceError("solve_T_p density iteration failed",
                                iterations=max_iter,
                                residual=float(np.max(np.abs(ratio - 1.0))))

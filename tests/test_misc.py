@@ -52,6 +52,21 @@ class TestSmallSurfaces:
                                7e21, -1.6, 113200.0, third_body=True)
         assert rx.delta_nu == 1
 
+    def test_kinetics_imports_first(self):
+        # a fresh interpreter importing the kinetics module before
+        # anything else must not trip the kinetics <-> numerics cycle
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import repro.thermo.kinetics"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
     def test_vehicle_with_bank(self):
         from repro.trajectory import AOTV
         banked = AOTV.with_bank(0.5)
