@@ -89,8 +89,8 @@ class RunSupervisor:
     Parameters
     ----------
     solver:
-        Any object exposing ``U`` (conserved field), ``steps`` and —
-        ideally — ``get_state``/``set_state`` (see
+        Any object exposing ``U`` (conserved field), ``steps`` and
+        ``get_state``/``set_state`` (see
         :class:`~repro.resilience.checkpoint.Checkpoint`).
     policy:
         Retry ladder configuration (default :class:`RetryPolicy`).
@@ -356,6 +356,9 @@ class RunSupervisor:
             if k % pol.checkpoint_interval == 0:
                 ckpt = Checkpoint.capture(solver)
                 ckpt_k = k
+        # stop() is only tested before a step: a budget that runs out
+        # on the step that reaches the stop condition still converged
+        converged = converged or (stop is not None and bool(stop()))
         solver.converged = converged
         self._expose()
         if store is not None:

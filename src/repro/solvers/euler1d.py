@@ -68,6 +68,8 @@ class Euler1DSolver(QuarantineMixin):
         self.converged = False
         self.quarantined_cells = None
 
+    state_attrs = ("U", "t", "steps")
+
     # ------------------------------------------------------------------
     # resilience protocol
     # ------------------------------------------------------------------
@@ -95,15 +97,6 @@ class Euler1DSolver(QuarantineMixin):
         s = np.log(np.maximum(p, 1e-300)) \
             - gamma * np.log(np.maximum(rho, 1e-300))
         return float(np.sum(rho * s * self.dx))
-
-    def get_state(self):
-        """Restorable marching state (see repro.resilience)."""
-        return {"U": self.U.copy(), "t": self.t, "steps": self.steps}
-
-    def set_state(self, state):
-        self.U = state["U"]
-        self.t = state["t"]
-        self.steps = state["steps"]
 
     def persist_config(self):
         """JSON-able constructor fingerprint (durable checkpoints)."""
@@ -197,54 +190,22 @@ class Euler1DSolver(QuarantineMixin):
         self.steps += 1
         check_state(self.U, step=self.steps, label="euler1d")
 
-    def run(self, t_final, *, cfl=0.45, max_steps=100000, resilience=None,
-            faults=None, persist=None, watchdog=None, degradation=None,
-            heartbeat=None):
-        """Advance to t_final with CFL-limited steps.
+    def run(self, t_final, *, cfl=0.45, max_steps=100000, **supervision):
+        """Advance to ``t_final`` with CFL-limited steps, at most
+        ``max_steps`` of them in this call (a later ``run()`` gets a
+        fresh budget, which is what a resumed march relies on).
 
-        With ``resilience`` (a :class:`repro.resilience.RetryPolicy`, or
-        ``True`` for the defaults) the march runs under a
-        :class:`repro.resilience.RunSupervisor`: checkpointed, with
-        automatic rollback and CFL backoff on :class:`StabilityError`.
-        ``faults`` optionally injects deterministic faults (testing);
-        ``persist`` (a :class:`repro.resilience.PersistencePolicy` or a
-        directory path) adds durable on-disk snapshots the march resumes
-        from after a crash (see
-        :func:`repro.resilience.persistence.resume_run`).
-        ``watchdog`` (``True`` or a
-        :class:`repro.resilience.WatchdogPolicy`) audits conservation
-        budgets / entropy each step; ``degradation`` (``True`` or a
-        :class:`repro.resilience.DegradationPolicy`) arms the graceful
-        fallback to quarantined first-order reconstruction before a
-        failing run aborts — the ledger lands on
-        ``self.degradation_ledger``.
-        ``heartbeat`` (a :class:`repro.resilience.Heartbeat`) is touched
-        every supervised step so a sandboxing parent process
-        (:class:`repro.resilience.IsolatedRunner`) can distinguish a
-        slow march from a hung one.
+        ``self.converged`` records whether ``t_final`` was reached.
+        ``**supervision``: the supervision keywords documented on
+        :meth:`~repro.solvers.degradable.QuarantineMixin._march`.
         """
         if self.U is None:
             raise InputError("call set_initial first")
-        if resilience is not None or faults is not None \
-                or persist is not None or watchdog is not None \
-                or degradation is not None or heartbeat is not None:
-            from repro.resilience import (RetryPolicy, RunSupervisor)
-            policy = (resilience if isinstance(resilience, RetryPolicy)
-                      else RetryPolicy())
-            sup = RunSupervisor(self, policy, faults=faults,
-                                label="euler1d", persist=persist,
-                                watchdog=watchdog,
-                                degradation=degradation,
-                                heartbeat=heartbeat)
-            sup.march(self._cfl_step(t_final), n_steps=max_steps, cfl=cfl,
-                      stop=lambda: self.t >= t_final - 1e-15,
-                      run_kwargs={"t_final": t_final, "cfl": cfl,
-                                  "max_steps": max_steps})
-            return self
-        while self.t < t_final - 1e-15 and self.steps < max_steps:
-            self._cfl_step(t_final)(cfl)
-        self.converged = self.t >= t_final - 1e-15
-        return self
+        return self._march(self._cfl_step(t_final), n_steps=max_steps,
+                           cfl=cfl, stop=lambda: self.t >= t_final - 1e-15,
+                           run_kwargs={"t_final": t_final, "cfl": cfl,
+                                       "max_steps": max_steps},
+                           label="euler1d", **supervision)
 
     def _cfl_step(self, t_final):
         """One CFL-limited step toward ``t_final`` as a closure over the

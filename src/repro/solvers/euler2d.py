@@ -89,6 +89,10 @@ class AxisymmetricEulerSolver(QuarantineMixin):
     #: the watchdog skips them (species/entropy audits still apply).
     closed_domain = False
 
+    #: Complete for durable restarts: includes the freestream vector so
+    #: a solver rebuilt from a manifest needs no ``set_freestream``.
+    state_attrs = ("U", "t", "steps", "U_inf", "residual_history")
+
     # ------------------------------------------------------------------
     # resilience protocol
     # ------------------------------------------------------------------
@@ -110,24 +114,6 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         s = np.log(np.maximum(w["p"], 1e-300)) \
             - gamma * np.log(np.maximum(w["rho"], 1e-300))
         return float(np.sum(w["rho"] * s * self.vol))
-
-    def get_state(self):
-        """Restorable marching state (see repro.resilience).
-
-        Complete for durable restarts: includes the freestream vector so
-        a solver rebuilt from a manifest needs no ``set_freestream``.
-        """
-        return {"U": self.U.copy(), "t": self.t, "steps": self.steps,
-                "U_inf": None if self.U_inf is None else self.U_inf.copy(),
-                "residual_history": list(self.residual_history)}
-
-    def set_state(self, state):
-        self.U = state["U"]
-        self.t = state["t"]
-        self.steps = state["steps"]
-        if "U_inf" in state and state["U_inf"] is not None:
-            self.U_inf = state["U_inf"]
-        self.residual_history = state["residual_history"]
 
     def persist_config(self):
         """JSON-able constructor fingerprint (durable checkpoints)."""
@@ -282,59 +268,20 @@ class AxisymmetricEulerSolver(QuarantineMixin):
         e_min = 1e-8 * float(self.U_inf[3])
         U[..., 3] = np.maximum(U[..., 3], ke + e_min)
 
-    def run(self, *, n_steps=4000, cfl=0.4, tol=1e-8, verbose=False,
-            resilience=None, faults=None, persist=None, watchdog=None,
-            degradation=None, heartbeat=None):
+    def run(self, *, n_steps=4000, cfl=0.4, tol=1e-8, **supervision):
         """March to steady state; stops early when the residual drops
         below ``tol`` (relative density update per step).
 
-        With ``resilience`` (a :class:`repro.resilience.RetryPolicy`, or
-        ``True`` for the defaults) the march runs supervised: periodic
-        checkpoints, per-step state guards, automatic rollback with CFL
-        backoff on :class:`StabilityError`, and a
-        :class:`~repro.resilience.FailureReport` on exhaustion.
-        ``faults`` optionally injects deterministic faults (testing);
-        ``persist`` (a :class:`repro.resilience.PersistencePolicy` or a
-        directory path) adds durable on-disk snapshots the march resumes
-        from after a crash (see
-        :func:`repro.resilience.persistence.resume_run`).
-        ``watchdog`` (``True`` or a
-        :class:`repro.resilience.WatchdogPolicy`) audits species bounds
-        and entropy monotonicity each step; ``degradation`` (``True`` or
-        a :class:`repro.resilience.DegradationPolicy`) arms the graceful
-        fallback to quarantined first-order reconstruction before a
-        failing run aborts (ledger on ``self.degradation_ledger``).
-        ``heartbeat`` (a :class:`repro.resilience.Heartbeat`) is touched
-        every supervised step for a sandboxing parent
-        (:class:`repro.resilience.IsolatedRunner`).
         ``self.converged`` records whether ``tol`` was reached.
+        ``**supervision``: the supervision keywords documented on
+        :meth:`~repro.solvers.degradable.QuarantineMixin._march`.
         """
         if self.U is None:
             raise InputError("call set_freestream first")
-        if resilience is not None or faults is not None \
-                or persist is not None or watchdog is not None \
-                or degradation is not None or heartbeat is not None:
-            from repro.resilience import RetryPolicy, RunSupervisor
-            policy = (resilience if isinstance(resilience, RetryPolicy)
-                      else RetryPolicy())
-            sup = RunSupervisor(self, policy, faults=faults,
-                                label=type(self).__name__, persist=persist,
-                                watchdog=watchdog,
-                                degradation=degradation,
-                                heartbeat=heartbeat)
-            sup.march(self.step, n_steps=n_steps, cfl=cfl, tol=tol,
-                      run_kwargs={"n_steps": n_steps, "cfl": cfl,
-                                  "tol": tol})
-            return self
-        for k in range(n_steps):
-            res = self.step(cfl)
-            if verbose and k % 200 == 0:
-                print(f"step {self.steps}: res={res:.3e}")
-            if res < tol:
-                break
-        self.converged = bool(self.residual_history
-                              and self.residual_history[-1] < tol)
-        return self
+        return self._march(self.step, n_steps=n_steps, cfl=cfl, tol=tol,
+                           run_kwargs={"n_steps": n_steps, "cfl": cfl,
+                                       "tol": tol},
+                           label=type(self).__name__, **supervision)
 
     # ------------------------------------------------------------------
     # diagnostics

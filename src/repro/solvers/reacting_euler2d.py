@@ -145,7 +145,7 @@ class ReactingEulerSolver(QuarantineMixin):
         self.Tv = None
         #: Per-cell physics-ladder indices (None until any cell is
         #: demoted below ``chemistry_model``); like the quarantine mask,
-        #: deliberately outside get_state so rollbacks keep demotions.
+        #: deliberately outside state_attrs so rollbacks keep demotions.
         self.chem_rung = None
         self.steps = 0
         self.converged = False
@@ -154,6 +154,13 @@ class ReactingEulerSolver(QuarantineMixin):
     #: Blunt-body domain: open boundaries, so the watchdog audits
     #: species/entropy but not global budgets.
     closed_domain = False
+
+    #: Complete for durable restarts: the temperature field is the
+    #: Newton warm start, so replays stay bit-identical; ``U_inf`` makes
+    #: a manifest-rebuilt solver runnable without ``set_freestream``;
+    #: ``ev``/``Tv`` exist only on the two-temperature rung.
+    state_attrs = ("U", "steps", "T", "U_inf", "residual_history", "ev",
+                   "Tv")
 
     @property
     def state_layout(self):
@@ -167,34 +174,6 @@ class ReactingEulerSolver(QuarantineMixin):
     # ------------------------------------------------------------------
     # resilience protocol
     # ------------------------------------------------------------------
-
-    def get_state(self):
-        """Restorable marching state (see repro.resilience).
-
-        Complete for durable restarts: the temperature field is the
-        Newton warm start, so replays stay bit-identical; ``U_inf`` makes
-        a manifest-rebuilt solver runnable without ``set_freestream``.
-        """
-        state = {"U": self.U.copy(), "steps": self.steps,
-                 "T": None if self.T is None else self.T.copy(),
-                 "U_inf": (None if getattr(self, "U_inf", None) is None
-                           else self.U_inf.copy()),
-                 "residual_history": list(self.residual_history)}
-        if self.ev is not None:
-            state["ev"] = self.ev.copy()
-            state["Tv"] = None if self.Tv is None else self.Tv.copy()
-        return state
-
-    def set_state(self, state):
-        self.U = state["U"]
-        self.steps = state["steps"]
-        self.T = state["T"]
-        if "U_inf" in state and state["U_inf"] is not None:
-            self.U_inf = state["U_inf"]
-        if "ev" in state:
-            self.ev = state["ev"]
-            self.Tv = state.get("Tv")
-        self.residual_history = state["residual_history"]
 
     def persist_config(self):
         """JSON-able constructor fingerprint (durable checkpoints).
@@ -501,53 +480,22 @@ class ReactingEulerSolver(QuarantineMixin):
         U[..., 3] = np.maximum(U[..., 3], ke + rho * (hf + 3e4))
 
     def run(self, *, n_steps=2000, cfl=0.35, chemistry=True, tol=None,
-            resilience=None, faults=None, persist=None, watchdog=None,
-            degradation=None, heartbeat=None):
+             **supervision):
         """March ``n_steps`` (or to ``tol`` when given).
 
-        ``resilience``/``faults`` run the march under a
-        :class:`repro.resilience.RunSupervisor` with checkpointed
-        rollback-retry and deterministic fault injection;
-        ``persist`` adds durable on-disk snapshots the march resumes
-        from after a crash (see
-        :meth:`AxisymmetricEulerSolver.run` and
-        :func:`repro.resilience.persistence.resume_run`).
-        ``watchdog`` (``True`` or a
-        :class:`repro.resilience.WatchdogPolicy`) audits species bounds,
-        element budgets and entropy each step; ``degradation`` (``True``
-        or a :class:`repro.resilience.DegradationPolicy`) arms the
-        graceful cascade — quarantined first-order reconstruction, then
-        per-cell chemistry demotion down :attr:`PHYSICS_LADDER` — before
-        a failing run aborts (ledger on ``self.degradation_ledger``).
-        ``heartbeat`` (a :class:`repro.resilience.Heartbeat`) is touched
-        every supervised step for a sandboxing parent
-        (:class:`repro.resilience.IsolatedRunner`).
+        ``self.converged`` records whether ``tol`` was reached.
+        ``**supervision``: the supervision keywords documented on
+        :meth:`~repro.solvers.degradable.QuarantineMixin._march`; the
+        degradation cascade here ends in per-cell chemistry demotion
+        down :attr:`PHYSICS_LADDER`.
         """
         if self.U is None:
             raise InputError("call set_freestream first")
-        if resilience is not None or faults is not None \
-                or persist is not None or watchdog is not None \
-                or degradation is not None or heartbeat is not None:
-            from repro.resilience import RetryPolicy, RunSupervisor
-            policy = (resilience if isinstance(resilience, RetryPolicy)
-                      else RetryPolicy())
-            sup = RunSupervisor(self, policy, faults=faults,
-                                label="reacting_euler2d", persist=persist,
-                                watchdog=watchdog,
-                                degradation=degradation,
-                                heartbeat=heartbeat)
-            sup.march(lambda c: self.step(c, chemistry=chemistry),
-                      n_steps=n_steps, cfl=cfl, tol=tol,
-                      run_kwargs={"n_steps": n_steps, "cfl": cfl,
-                                  "chemistry": chemistry, "tol": tol})
-            return self
-        for _ in range(n_steps):
-            res = self.step(cfl, chemistry=chemistry)
-            if tol is not None and res < tol:
-                break
-        self.converged = bool(tol is not None and self.residual_history
-                              and self.residual_history[-1] < tol)
-        return self
+        return self._march(lambda c: self.step(c, chemistry=chemistry),
+                           n_steps=n_steps, cfl=cfl, tol=tol,
+                           run_kwargs={"n_steps": n_steps, "cfl": cfl,
+                                       "chemistry": chemistry, "tol": tol},
+                           label="reacting_euler2d", **supervision)
 
     # ------------------------------------------------------------------
 

@@ -21,6 +21,7 @@ speed is reconstructed from the table's own gradients::
 
 from __future__ import annotations
 
+import hashlib
 import os
 import tempfile
 
@@ -29,7 +30,17 @@ import numpy as np
 from repro.errors import InputError, TableRangeError
 from repro.thermo.equilibrium import EquilibriumGas
 
-__all__ = ["EquilibriumEOSTable", "build_air_table"]
+__all__ = ["EquilibriumEOSTable", "air_table_fingerprint",
+           "build_air_table"]
+
+#: Default table extent: density [kg/m^3] and specific energy [J/kg].
+_RHO_RANGE = (1e-7, 10.0)
+_E_RANGE = (5e4, 1.5e8)
+
+#: Version of the table-building arithmetic; bump it whenever
+#: :meth:`EquilibriumEOSTable.build` or the equilibrium solver changes
+#: what a table holds, so disk-cached tables from before are not reused.
+_BUILDER_VERSION = 1
 
 
 class EquilibriumEOSTable:
@@ -58,8 +69,8 @@ class EquilibriumEOSTable:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, gas: EquilibriumGas, *, rho_range=(1e-7, 10.0),
-              e_range=(5e4, 1.5e8), n_rho=48,
+    def build(cls, gas: EquilibriumGas, *, rho_range=_RHO_RANGE,
+              e_range=_E_RANGE, n_rho=48,
               n_e=72) -> "EquilibriumEOSTable":
         """Fill the table by batched (rho, e) equilibrium solves.
 
@@ -177,18 +188,37 @@ class EquilibriumEOSTable:
 _AIR_TABLE_CACHE: dict[tuple, EquilibriumEOSTable] = {}
 
 
+def air_table_fingerprint(db, y_ref, n_rho, n_e) -> str:
+    """Content key of a disk-cached table: the species records the
+    builder reads, the reference mass fractions, the builder version and
+    the grid."""
+    h = hashlib.sha256(repr((_BUILDER_VERSION, n_rho, n_e, _RHO_RANGE,
+                             _E_RANGE, db.species)).encode())
+    h.update(np.ascontiguousarray(y_ref, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
 def build_air_table(*, n_rho=48, n_e=72, cache_dir=None
                     ) -> EquilibriumEOSTable:
-    """Build (or load from disk cache) the standard equilibrium-air table."""
+    """Build (or load from disk cache) the standard equilibrium-air table.
+
+    The disk cache lives in ``cache_dir``, else ``$REPRO_CACHE_DIR``,
+    else ``~/.cache/repro``; its file name carries
+    :func:`air_table_fingerprint`, so a table built from other species
+    data, another builder version or another grid is never loaded.
+    """
     from repro.thermo.equilibrium import air_reference_mass_fractions
     from repro.thermo.species import species_set
 
     key = (n_rho, n_e)
     if key in _AIR_TABLE_CACHE:
         return _AIR_TABLE_CACHE[key]
-    cache_dir = cache_dir or os.path.join(
-        os.path.expanduser("~"), ".cache", "repro")
-    path = os.path.join(cache_dir, f"air_eos_{n_rho}x{n_e}.npz")
+    db = species_set("air11")
+    y_ref = air_reference_mass_fractions(db)
+    cache_dir = (cache_dir or os.environ.get("REPRO_CACHE_DIR")
+                 or os.path.join(os.path.expanduser("~"), ".cache", "repro"))
+    path = os.path.join(cache_dir, f"air_eos_{n_rho}x{n_e}-"
+                        f"{air_table_fingerprint(db, y_ref, n_rho, n_e)}.npz")
     if os.path.exists(path):
         try:
             tab = EquilibriumEOSTable.load(path)
@@ -198,8 +228,7 @@ def build_air_table(*, n_rho=48, n_e=72, cache_dir=None
         # cache file falls through to a fresh table build
         except Exception:
             pass  # rebuild on any cache corruption
-    db = species_set("air11")
-    gas = EquilibriumGas(db, air_reference_mass_fractions(db))
+    gas = EquilibriumGas(db, y_ref)
     tab = EquilibriumEOSTable.build(gas, n_rho=n_rho, n_e=n_e)
     try:
         tab.save(path)

@@ -11,6 +11,16 @@ from repro.thermo.equilibrium import (EquilibriumGas,
 from repro.thermo.species import species_set
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _repro_cache_dir(tmp_path_factory):
+    """Point the EOS-table disk cache at a per-session temp dir, so no
+    result depends on (or writes to) the user's home directory."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR",
+                  str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def air11():
     return species_set("air11")

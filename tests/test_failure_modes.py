@@ -33,6 +33,16 @@ def _m8_solver(n_s=15, n_normal=21):
     return s
 
 
+def _sod_solver():
+    """100-cell Sod shock tube on [0, 1]."""
+    from repro.solvers.euler1d import Euler1DSolver
+    x = np.linspace(0.0, 1.0, 101)
+    xc = 0.5 * (x[1:] + x[:-1])
+    s = Euler1DSolver(x)
+    return s.set_initial(np.where(xc < 0.5, 1.0, 0.125), 0.0,
+                         np.where(xc < 0.5, 1.0, 0.1))
+
+
 class TestErrorHierarchy:
     def test_all_errors_are_cat_errors(self):
         for exc in (ConvergenceError("x"), InputError("x"),
@@ -214,12 +224,7 @@ class TestRunSupervisor:
         assert sup.report is not None and sup.report.label == "ladder-test"
 
     def test_euler1d_supervised_transient_run(self):
-        from repro.solvers.euler1d import Euler1DSolver
-        x = np.linspace(0.0, 1.0, 101)
-        xc = 0.5 * (x[1:] + x[:-1])
-        s = Euler1DSolver(x)
-        s.set_initial(np.where(xc < 0.5, 1.0, 0.125), 0.0,
-                      np.where(xc < 0.5, 1.0, 0.1))
+        s = _sod_solver()
         faults = FaultInjector()
         faults.inject_nan(step=30, cell=50, component=2)
         s.run(0.2, cfl=0.45, resilience=RetryPolicy(checkpoint_interval=10),
@@ -227,6 +232,25 @@ class TestRunSupervisor:
         assert s.converged is True
         assert s.t == pytest.approx(0.2, abs=1e-12)
         assert np.all(np.isfinite(s.U))
+
+    def test_euler1d_paths_agree_on_budget_and_converged(self):
+        # the 100-cell Sod problem reaches t = 0.05 in exactly 22 steps:
+        # a budget that runs out on the step reaching t_final still
+        # converged, and max_steps counts the steps of this run() call,
+        # supervised or not
+        states = {}
+        for supervised in (False, True):
+            kw = {"resilience": RetryPolicy()} if supervised else {}
+            s = _sod_solver()
+            s.run(0.05, max_steps=22, **kw)
+            assert (s.converged, s.steps) == (True, 22), kw
+            again = _sod_solver()
+            again.run(0.025, **kw)
+            first = again.steps
+            again.run(0.05, max_steps=8, **kw)
+            assert (again.converged, again.steps) == (False, first + 8), kw
+            states[supervised] = (s.U.tobytes(), again.U.tobytes())
+        assert states[False] == states[True]
 
 
 class TestSupervisedCall:

@@ -66,7 +66,7 @@ def _make_ns2d():
     return _blunt(AxisymmetricNSSolver, T_wall=500.0)
 
 
-def _make_reacting():
+def _make_reacting(chemistry_model="finite_rate"):
     from repro.geometry import Hemisphere
     from repro.grid import blunt_body_grid
     from repro.solvers.reacting_euler2d import ReactingEulerSolver
@@ -74,7 +74,7 @@ def _make_reacting():
     grid = blunt_body_grid(Hemisphere(0.05), n_s=9, n_normal=13,
                            density_ratio=0.12, margin=2.5)
     db = species_set("air5")
-    s = ReactingEulerSolver(grid, db)
+    s = ReactingEulerSolver(grid, db, chemistry_model=chemistry_model)
     y = np.zeros(db.n)
     y[db.index["N2"]] = 0.767
     y[db.index["O2"]] = 0.233
@@ -92,6 +92,9 @@ CASES = {
     "reacting_euler2d": (_make_reacting,
                          lambda s, **kw: s.run(n_steps=10, cfl=0.3, **kw),
                          10, 7),
+    "reacting_two_temperature": (
+        lambda: _make_reacting("two_temperature"),
+        lambda s, **kw: s.run(n_steps=10, cfl=0.3, **kw), 10, 7),
 }
 
 

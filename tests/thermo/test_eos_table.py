@@ -99,3 +99,65 @@ class TestPersistence:
         g1, t1 = loaded.lookup(0.01, 3e6)
         g2, t2 = small_table.lookup(0.01, 3e6)
         assert float(g1) == float(g2) and float(t1) == float(t2)
+
+
+class TestDiskCache:
+    """``build_air_table``'s disk cache is keyed by content, not shape."""
+
+    @pytest.fixture()
+    def eos_table(self, monkeypatch):
+        from repro.thermo import eos_table
+        monkeypatch.setattr(eos_table, "_AIR_TABLE_CACHE", {})
+        return eos_table
+
+    @staticmethod
+    def _poison(path):
+        """Overwrite a cached table with a recognisable fake gamma and
+        return that gamma."""
+        tab = EquilibriumEOSTable.load(path)
+        fake = np.full_like(tab.gamma, 1.01)
+        EquilibriumEOSTable(tab.log_rho, tab.log_e, fake, tab.T).save(path)
+        return fake
+
+    def test_same_fingerprint_is_loaded(self, eos_table, tmp_path):
+        eos_table.build_air_table(n_rho=6, n_e=8, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("air_eos_6x8-*.npz")
+        fake = self._poison(str(path))
+        eos_table._AIR_TABLE_CACHE.clear()
+        tab = eos_table.build_air_table(n_rho=6, n_e=8, cache_dir=tmp_path)
+        assert np.array_equal(tab.gamma, fake)
+
+    def test_other_fingerprint_is_not_loaded(self, eos_table, tmp_path,
+                                             monkeypatch):
+        version = eos_table._BUILDER_VERSION
+        monkeypatch.setattr(eos_table, "_BUILDER_VERSION", version + 1)
+        eos_table.build_air_table(n_rho=6, n_e=8, cache_dir=tmp_path)
+        (stale,) = tmp_path.glob("air_eos_6x8-*.npz")
+        fake = self._poison(str(stale))
+        monkeypatch.setattr(eos_table, "_BUILDER_VERSION", version)
+        eos_table._AIR_TABLE_CACHE.clear()
+        tab = eos_table.build_air_table(n_rho=6, n_e=8, cache_dir=tmp_path)
+        assert not np.array_equal(tab.gamma, fake)
+        assert len(list(tmp_path.glob("air_eos_6x8-*.npz"))) == 2
+
+    def test_fingerprint_tracks_species_data_and_grid(self):
+        from repro.thermo.eos_table import air_table_fingerprint
+        from repro.thermo.equilibrium import air_reference_mass_fractions
+        from repro.thermo.species import species_set
+        air11, air9 = species_set("air11"), species_set("air9")
+        y11 = air_reference_mass_fractions(air11)
+        fp = air_table_fingerprint(air11, y11, 6, 8)
+        assert fp == air_table_fingerprint(air11, y11.copy(), 6, 8)
+        assert fp != air_table_fingerprint(air11, y11, 6, 9)
+        assert fp != air_table_fingerprint(
+            air9, air_reference_mass_fractions(air9), 6, 8)
+        y_other = y11.copy()
+        y_other[air11.index["N2"]] -= 1e-3
+        y_other[air11.index["O2"]] += 1e-3
+        assert fp != air_table_fingerprint(air11, y_other, 6, 8)
+
+    def test_cache_dir_from_environment(self, eos_table, tmp_path,
+                                        monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        eos_table.build_air_table(n_rho=6, n_e=8)
+        assert len(list(tmp_path.glob("air_eos_6x8-*.npz"))) == 1
