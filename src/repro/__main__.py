@@ -1,272 +1,43 @@
-"""Command-line entry point.
+"""Command-line entry point: ``python -m repro [command] [options]``.
 
-``python -m repro``                 — overview and quick sanity numbers
-``python -m repro figures``         — regenerate every paper figure
-``python -m repro stagnation V H RN`` — stagnation environment at
-                                        (V [m/s], h [m], R_n [m])
-``python -m repro degrade-smoke``   — degradation-cascade smoke run
-``python -m repro chaos``           — randomized fault campaign under
-                                      process isolation
-``python -m repro batch``           — batch evaluation service
-                                      (JSON-lines requests in,
-                                      envelopes out)
-``python -m repro campaign``        — run a job campaign on the solve
-                                      farm to completion
-``python -m repro serve``           — long-running farm worker pool on
-                                      a durable queue
-``python -m repro jobs``            — asynchronous jobs: submit returns
-                                      an id immediately; status/watch/
-                                      result/cancel/gc later
+  (no command)   overview and quick sanity numbers
+  figures        regenerate every paper figure
+  stagnation     stagnation environment at (V [m/s], h [m], R_n [m])
+  degrade-smoke  degradation-cascade smoke run
+  chaos          randomized fault campaign under process isolation
+  batch          batch evaluation service (JSON-lines requests in,
+                 envelopes out)
+  campaign       run a job campaign on the solve farm to completion
+  serve          long-running farm worker pool on a durable queue
+  jobs           asynchronous jobs: submit returns an id immediately;
+                 status/watch/result/cancel/gc/ledger later
+
+``python -m repro <command> --help`` is the flag reference of one
+command (``jobs <action> --help`` of one job action);
+``python -m repro --help`` prints every command's flags.
 
 Exit codes: 0 success, 1 solver/invariant failure, 2 usage error.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
-_USAGE = """\
-usage: python -m repro [command] [options]
-
-commands:
-  (none)                 overview and quick sanity numbers
-  figures [--full] [--checkpoint-dir D] [--resume] [--isolate]
-          [--farm] [-j N] [--queue-dir D]
-          [--deadline S] [--stall-timeout S] [--memory-mb M]
-                         regenerate every paper figure
-                           --full            full-resolution runs
-                           --checkpoint-dir D
-                                             durable suite: done markers +
-                                             solver snapshots under D
-                           --resume          replay completed figures and
-                                             continue interrupted marches
-                                             from their latest snapshot
-                           --isolate         run each figure in a sandboxed
-                                             child process (kill + retry on
-                                             hang, memory balloon, crash)
-                           --farm            shard the suite across farm
-                                             workers (implies isolation;
-                                             excludes --isolate/--resume/
-                                             --checkpoint-dir)
-                           -j N              farm worker count (default 4)
-                           --queue-dir D     durable farm queue under D
-                                             (re-run with the same D to
-                                             resume a campaign)
-                           --deadline S      per-figure wall-clock budget
-                           --stall-timeout S declare a hang after S seconds
-                                             without a heartbeat
-                           --memory-mb M     per-figure RSS budget [MiB]
-                                             (the three budget flags
-                                             require --isolate or --farm)
-  stagnation V H RN      stagnation environment at (V [m/s], h [m],
-                         R_n [m])
-  degrade-smoke [--out FILE]
-                         fault-injected reacting march that must abort
-                         without the degradation cascade and complete
-                         with it; writes the degradation ledger JSON
-                         to FILE (default degradation_ledger.json)
-  batch [FILE] [--out FILE] [--ledger FILE] [--bench FILE]
-        [--deadline S] [--request-deadline S] [--shed-above N]
-        [--isolate auto|always|never] [--allow-faults] [--no-dedup]
-        [--farm] [-j N] [--queue-dir D] [--chunk-size N]
-                         batch evaluation service: JSON-lines requests
-                         (FILE or stdin), one outcome envelope per line
-                         on stdout (or --out); exits 0 only when every
-                         request came back ok/degraded
-                           --deadline S      whole-batch wall budget
-                           --request-deadline S
-                                             per-request wall budget
-                                             (sandboxed rungs are
-                                             killed at S, not waited)
-                           --shed-above N    reject batches larger
-                                             than N (typed overload)
-                           --isolate MODE    sandboxing: auto (heavy
-                                             rungs + faults), always,
-                                             never
-                           --allow-faults    honor chaos "fault"
-                                             fields in requests
-                           --no-dedup        execute duplicate request
-                                             keys instead of copying
-                           --farm            shard into chunk jobs on
-                                             the solve farm
-                           -j N              farm worker count
-                           --queue-dir D     durable farm queue
-                           --chunk-size N    requests per chunk job
-                           --ledger FILE     write the batch ledger
-                           --bench FILE      write BENCH_batch.json
-                                             (req/s, p50/p99 latency)
-  chaos [--rounds N] [--seed S] [--out D] [--deadline S]
-        [--farm] [-j N] [--kill-workers K] [--queue-dir D]
-        [--hosts N] [--skew[=S]] [--partition]
-        [--batch [--requests N] [--faulted M]]
-        [--jobs [--steps N]]
-                         randomized fault campaign: every round runs a
-                         solver with sampled faults (hangs, memory
-                         balloons, crashes, snapshot corruption, NaN
-                         upsets) under process isolation and asserts
-                         termination, bitwise resume and kill
-                         accounting; per-round reports land in D
-                         (default chaos-reports)
-                           --farm            run rounds as farm jobs and
-                                             SIGKILL the workers too
-                           -j N              farm worker count (default 2)
-                           --kill-workers K  scheduled worker SIGKILLs
-                                             (default 2; 0 disables)
-                           --queue-dir D     farm queue directory
-                                             (default <out>/farm-queue)
-                           --hosts N         distributed mode (with
-                                             --farm): N supervisor
-                                             "hosts" share one queue;
-                                             one host is SIGKILLed and
-                                             the survivors' results are
-                                             bitwise-verified; --rounds
-                                             counts solver jobs and
-                                             --deadline bounds the whole
-                                             campaign (default 240 s)
-                           --skew[=S]        inject alternating +/-S s
-                                             wall-clock skew per host
-                                             (bare --skew: 5 s)
-                           --partition       SIGSTOP the surviving host
-                                             past its lease ttl (frozen
-                                             beacon included), then heal
-                                             it: stale commits must be
-                                             fenced, jobs done once
-                           --batch           batch-service campaign:
-                                             fault-injected requests
-                                             mixed into a good batch;
-                                             good results must be
-                                             bitwise-identical to a
-                                             fault-free reference and
-                                             breaker transitions
-                                             deterministic
-                           --requests N      batch campaign size
-                                             (default 200)
-                           --faulted M       fault-injected requests
-                                             in it (default 20)
-                           --jobs            async-job campaign: submit
-                                             a long march as a durable
-                                             job, SIGKILL the serving
-                                             supervisor mid-march,
-                                             resume on a second host
-                                             and assert bitwise parity,
-                                             exactly-once completion, a
-                                             legal state-machine
-                                             history, cooperative
-                                             cancellation and a clean
-                                             gc; writes the job ledger
-                                             and BENCH_jobs.json to D
-                           --steps N         march length of the chaos
-                                             job (default 40)
-  campaign (--figures | --jobs FILE | --retry-dead-letters
-            | --merge-ledgers L1,L2,...)
-           [-j N] [--full] [--queue-dir D]
-           [--ledger FILE] [--bench FILE] [--compare-serial]
-           [--kill-workers K] [--seed S] [--deadline S]
-           [--host-id H] [--max-skew S]
-                         enqueue a job set and drive the farm until every
-                         job is done or dead-lettered
-                           --figures         the nine-figure suite as jobs
-                           --jobs FILE       JSON list of job specs
-                                             ({"id","kind","payload",...})
-                           -j N              worker count (default 4)
-                           --queue-dir D     durable queue (default: fresh
-                                             temp dir; reuse D to resume)
-                           --ledger FILE     write the campaign ledger JSON
-                           --bench FILE      write a BENCH_farm.json
-                                             throughput record
-                           --compare-serial  also run the suite serially
-                                             and record the speedup
-                                             (--figures only)
-                           --kill-workers K  chaos: SIGKILL K workers at
-                                             seeded random times
-                           --seed S          kill-schedule seed (default 0)
-                           --deadline S      per-job wall-clock budget
-                           --host-id H       this host's identity in a
-                                             shared (multi-host) queue
-                           --max-skew S      cross-host clock-skew bound
-                                             for lease reaping (default 2)
-                           --retry-dead-letters
-                                             requeue the queue's dead-
-                                             lettered jobs with a fresh
-                                             attempt budget (prior
-                                             failure reports preserved)
-                                             and re-run the farm; needs
-                                             --queue-dir, excludes
-                                             --figures/--jobs
-                           --merge-ledgers L1,L2,...
-                                             merge per-host campaign
-                                             ledgers into --ledger FILE;
-                                             with --queue-dir also runs
-                                             the exactly-once journal
-                                             audit over the shared queue
-  jobs ACTION [...]      asynchronous jobs on a durable queue (all
-                         actions print one JSON object; a serving farm
-                         — ``serve --queue-dir D`` — executes them)
-                           submit --queue-dir D KIND [JSON]
-                                             enqueue KIND with payload
-                                             JSON (inline or @FILE);
-                                             prints the job id
-                                             immediately; --id sets an
-                                             explicit id (default:
-                                             content-addressed, so
-                                             resubmits are idempotent);
-                                             --max-attempts/--deadline/
-                                             --memory-mb/--stall-timeout
-                                             set the attempt budget
-                           status --queue-dir D ID
-                                             reconciled state, live
-                                             progress (step/t/residual
-                                             via the heartbeat channel),
-                                             snapshot generations
-                           watch --queue-dir D ID [--timeout S]
-                                             poll status until terminal,
-                                             one JSON line per change
-                           result --queue-dir D ID [--wait S]
-                                             terminal outcome (exit 1
-                                             when failed; with --wait
-                                             blocks up to S for it)
-                           cancel --queue-dir D ID [--escalate-after S]
-                                  [--wait S]
-                                             cooperative cancel flag,
-                                             then SIGTERM -> SIGKILL of
-                                             the advertised child after
-                                             S seconds
-                           gc --queue-dir D [--ttl S] [--keep-last N]
-                              [--include-failed]
-                                             remove artifacts of jobs
-                                             terminal for > S seconds
-                                             (failed ones only with
-                                             --include-failed)
-                           ledger --queue-dir D
-                                             all jobs + exactly-once and
-                                             transition-legality audits
-  serve --queue-dir D [-j N] [--lease-ttl S] [--poll S]
-        [--host-id H] [--max-skew S] [--clock-offset S] [--ledger FILE]
-                         long-running worker pool on a durable queue:
-                         drains jobs as they are enqueued (by campaign
-                         or other processes) until SIGTERM/SIGINT, then
-                         finishes-or-checkpoints and exits
-                           --host-id H       identity under which leases,
-                                             journal lines and workers
-                                             (host:pid) are written —
-                                             several hosts may serve one
-                                             shared/NFS queue directory
-                           --max-skew S      cross-host clock-skew bound
-                                             for lease reaping (default 2)
-                           --clock-offset S  inject S seconds of wall-
-                                             clock skew (chaos/testing;
-                                             may be negative)
-                           --ledger FILE     write this host's campaign
-                                             ledger JSON after the drain
-                                             (for --merge-ledgers)
-  -h, --help             show this message
-
-exit codes: 0 success, 1 solver/invariant failure, 2 usage error\
-"""
+_PROG = "python -m repro"
 
 
 class _UsageError(Exception):
-    """Bad command line; message is printed and the process exits 2."""
+    """Bad command line; :func:`main` prints the message plus the usage
+    of ``parser`` (default: the command being run) and returns 2."""
+
+    def __init__(self, message: str, parser=None):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _HelpShown(Exception):
+    """``--help`` was printed; :func:`main` returns 0."""
 
 
 def _usage_error(prefix: str, msg: str) -> None:
@@ -275,28 +46,229 @@ def _usage_error(prefix: str, msg: str) -> None:
     raise _UsageError(f"{prefix}: {msg}")
 
 
-def _positive_float(prefix: str, flag: str, value: str | None) -> float:
-    if value is None:
-        _usage_error(prefix, f"{flag} needs a value")
-    try:
-        out = float(value)
-    except ValueError:
-        _usage_error(prefix, f"{flag} needs a number, got {value!r}")
-    if out <= 0.0:
-        _usage_error(prefix, f"{flag} must be positive, got {value}")
-    return out
+class _Parser(argparse.ArgumentParser):
+    """Strict argparse (no abbreviated flags, no leftovers) that raises
+    instead of exiting, so :func:`main` owns the exit codes.  A parser
+    with subcommands appends each one's help to its own."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.subcommands: dict = {}
+
+    def parse_known_args(self, args=None, namespace=None):
+        # the innermost parser rejects leftovers, so the error carries
+        # that (sub)command's usage rather than the top level's
+        ns, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return ns, extras
+
+    def error(self, message):
+        name = self.prog.removeprefix(_PROG).strip() or "repro"
+        raise _UsageError(f"{name}: {message}", self)
+
+    def exit(self, status=0, message=None):
+        raise _HelpShown
+
+    def format_help(self):
+        return "\n".join([super().format_help()]
+                         + [p.format_help()
+                            for p in self.subcommands.values()])
 
 
-def _positive_int(prefix: str, flag: str, value: str | None) -> int:
-    if value is None:
-        _usage_error(prefix, f"{flag} needs a value")
-    try:
-        out = int(value)
-    except ValueError:
-        _usage_error(prefix, f"{flag} needs an integer, got {value!r}")
-    if out <= 0:
-        _usage_error(prefix, f"{flag} must be positive, got {value}")
-    return out
+def _number(cast, *, zero_ok: bool = False):
+    """argparse ``type=``: a positive (``zero_ok``: non-negative) number."""
+    def parse(text: str):
+        value = cast(text)  # ValueError: argparse's "invalid int value"
+        if value < 0 or (value == 0 and not zero_ok):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>= 0' if zero_ok else 'positive'}, got {text}")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
+_pos_int, _pos_float = _number(int), _number(float)
+_count = _number(int, zero_ok=True)
+
+
+def _build_parser() -> _Parser:
+    top = _Parser(prog=_PROG, description="CAT toolkit; with no command, "
+                  "an overview and quick sanity numbers.",
+                  epilog="exit codes: 0 success, 1 solver/invariant "
+                         "failure, 2 usage error")
+    sub = top.add_subparsers(dest="command", metavar="command",
+                             required=True)
+    top.subcommands = sub.choices
+
+    def command(name, run, text, parent=sub, **kwargs):
+        p = parent.add_parser(name, help=text, description=text, **kwargs)
+        p.set_defaults(run=run, cmd_parser=p)
+        return p.add_argument
+
+    def workers(arg, text, default=None):
+        arg("-j", dest="n_workers", type=_pos_int, default=default,
+            metavar="N", help=text)
+
+    def shared_queue(arg):
+        arg("--host-id", metavar="H", help="this host's name on a shared "
+            "queue")
+        arg("--max-skew", type=_pos_float, default=2.0, metavar="S",
+            help="cross-host clock-skew bound (default %(default)s)")
+
+    arg = command("figures", _cmd_figures, "regenerate every paper figure")
+    arg("--full", action="store_true", help="full-resolution runs")
+    arg("--checkpoint-dir", metavar="D", help="done markers + snapshots in D")
+    arg("--resume", action="store_true", help="resume from --checkpoint-dir")
+    arg("--isolate", action="store_true", help="one sandbox per figure")
+    arg("--farm", action="store_true", help="shard the suite across farm "
+        "workers (excludes --isolate/--resume/--checkpoint-dir)")
+    workers(arg, "farm worker count (default 4)")
+    arg("--queue-dir", metavar="D", help="farm queue (reuse D to resume)")
+    arg("--deadline", type=_pos_float, metavar="S",
+        help="per-figure wall-clock budget (needs --isolate or --farm)")
+    arg("--stall-timeout", type=_pos_float, metavar="S",
+        help="hang after S s without a heartbeat (ditto)")
+    arg("--memory-mb", type=_pos_float, metavar="M",
+        help="per-figure RSS budget [MiB] (ditto)")
+
+    arg = command("stagnation", _cmd_stagnation,
+                  "stagnation environment at (V, h, R_n)")
+    arg("V", type=float, help="flight speed [m/s]")
+    arg("h", type=float, help="altitude [m]")
+    arg("rn", type=float, metavar="RN", help="nose radius [m]")
+
+    arg = command("degrade-smoke", _degrade_smoke, "fault-injected march "
+                  "that must abort without the degradation cascade and "
+                  "complete with it")
+    arg("--out", default="degradation_ledger.json", metavar="FILE",
+        help="degradation ledger JSON (default %(default)s)")
+
+    arg = command("chaos", _cmd_chaos, "randomized fault campaign")
+    arg("--rounds", type=_pos_int, default=5, metavar="N",
+        help="rounds; solver jobs with --hosts (default %(default)s)")
+    arg("--seed", type=int, default=0, metavar="S")
+    arg("--out", default="chaos-reports", metavar="D",
+        help="report directory (default %(default)s)")
+    arg("--deadline", type=_pos_float, metavar="S", help="per round "
+        "(30); per campaign with --hosts/--jobs (240), --batch (120)")
+    arg("--farm", action="store_true", help="rounds as farm jobs")
+    workers(arg, "farm worker count (default 2)")
+    arg("--kill-workers", type=_count, metavar="K",
+        help="scheduled worker SIGKILLs (default 2; 0 disables)")
+    arg("--queue-dir", metavar="D", help="default <out>/farm-queue")
+    arg("--hosts", type=_pos_int, metavar="N",
+        help="with --farm: N supervisor hosts, one SIGKILLed")
+    arg("--skew", type=_pos_float, nargs="?", const=5.0, metavar="S",
+        help="+/-S s clock skew per host (bare --skew: 5 s)")
+    arg("--partition", action="store_true",
+        help="SIGSTOP a host past its lease ttl, then heal it")
+    arg("--batch", action="store_true", help="faulted requests in a good "
+        "batch (batch-service campaign)")
+    arg("--requests", type=_pos_int, metavar="N", help="default 200")
+    arg("--faulted", type=_pos_int, metavar="M", help="default 20")
+    arg("--jobs", action="store_true", help="kill-and-resume an async "
+        "march job (async-job campaign)")
+    arg("--steps", type=_pos_int, metavar="N", help="default 40")
+
+    arg = command("batch", _cmd_batch, "batch evaluation service: "
+                  "JSON-lines requests in, one envelope per line out")
+    arg("infile", nargs="?", metavar="FILE",
+        help="requests (absent or '-': stdin)")
+    arg("--out", metavar="FILE", help="envelopes (default stdout)")
+    arg("--ledger", dest="ledger_file", metavar="FILE")
+    arg("--bench", dest="bench_file", metavar="FILE", help="BENCH_batch.json")
+    arg("--deadline", type=_pos_float, metavar="S", help="whole-batch budget")
+    arg("--request-deadline", type=_pos_float, metavar="S", help="per request")
+    arg("--shed-above", type=_pos_int, metavar="N",
+        help="reject larger batches (typed overload)")
+    arg("--isolate", choices=("auto", "always", "never"), default="auto",
+        help="sandboxing (default %(default)s: heavy rungs + faults)")
+    arg("--allow-faults", action="store_true",
+        help='honor chaos "fault" fields in requests')
+    arg("--no-dedup", dest="dedup", action="store_false",
+        help="execute duplicate request keys instead of copying")
+    arg("--farm", action="store_true", help="shard into farm chunk jobs")
+    workers(arg, "farm worker count (default 2)")
+    arg("--queue-dir", metavar="D")
+    arg("--chunk-size", type=_pos_int, metavar="N")
+
+    arg = command("campaign", _cmd_campaign, "run a job set on the solve "
+                  "farm until every job is done or dead-lettered")
+    arg("--figures", action="store_true", help="the figure suite as jobs")
+    arg("--jobs", dest="jobs_file", metavar="FILE", help="JSON job-spec list")
+    arg("--retry-dead-letters", dest="retry_dead", action="store_true",
+        help="requeue --queue-dir's dead letters and re-run the farm")
+    arg("--merge-ledgers", dest="merge_paths", action="extend",
+        type=lambda v: [x for x in v.split(",") if x], default=[],
+        metavar="L1,L2", help="merge per-host ledgers; with --queue-dir "
+        "also audit exactly-once")
+    workers(arg, "worker count (default %(default)s)", default=4)
+    arg("--full", action="store_true", help="full-resolution figures")
+    arg("--queue-dir", metavar="D", help="default: fresh temp dir")
+    arg("--ledger", dest="ledger_file", metavar="FILE")
+    arg("--bench", dest="bench_file", metavar="FILE", help="BENCH_farm.json")
+    arg("--compare-serial", action="store_true",
+        help="also time the suite serially (--figures only)")
+    arg("--kill-workers", type=_count, default=0, metavar="K",
+        help="chaos: SIGKILL K workers at seeded random times")
+    arg("--seed", type=int, default=0, metavar="S")
+    arg("--deadline", type=_pos_float, metavar="S", help="per-job budget")
+    shared_queue(arg)
+
+    arg = command("serve", _cmd_serve, "long-running farm worker pool on a "
+                  "durable queue; SIGTERM drains it")
+    arg("--queue-dir", required=True, metavar="D")
+    workers(arg, "worker count (default %(default)s)", default=2)
+    arg("--lease-ttl", type=_pos_float, default=15.0, metavar="S")
+    arg("--poll", type=_pos_float, default=0.25, metavar="S")
+    shared_queue(arg)
+    arg("--clock-offset", type=float, default=0.0, metavar="S",
+        help="inject S s of wall-clock skew (may be negative)")
+    arg("--ledger", dest="ledger_file", metavar="FILE",
+        help="write this host's ledger after the drain")
+
+    text = "asynchronous jobs on a durable queue a 'serve' farm drains"
+    jobs = sub.add_parser("jobs", help=text, description=text)
+    actions = jobs.add_subparsers(dest="action", metavar="action",
+                                  required=True)
+    jobs.subcommands = actions.choices
+
+    def action(name, text, *options, job_id=True):
+        # unset flags stay out of the namespace, so the JobManager
+        # method receives exactly the flags given, as keywords
+        arg = command(name, _cmd_jobs, text, parent=actions,
+                      argument_default=argparse.SUPPRESS)
+        arg("--queue-dir", required=True, metavar="D")
+        if job_id:
+            arg("job_id", metavar="ID")
+        for flag, cast in options:
+            arg(flag, type=cast)
+        return arg
+
+    arg = action("submit", "enqueue KIND; prints the job id at once",
+                 ("--priority", int), ("--max-attempts", int),
+                 ("--deadline", float), ("--memory-mb", float),
+                 ("--stall-timeout", float), job_id=False)
+    arg("kind", metavar="KIND")
+    arg("payload_arg", nargs="?", default=None, metavar="JSON",
+        help="payload object, inline or @FILE")
+    arg("--id", dest="job_id", default=None,
+        help="explicit id (default: content-addressed)")
+    action("status", "state, live progress and snapshot generations")
+    action("watch", "one JSON line per change until terminal",
+           ("--timeout", float), ("--poll", float))
+    action("result", "terminal outcome (exit 1 when failed)",
+           ("--wait", float), ("--poll", float))
+    action("cancel", "cancel flag, then SIGTERM -> SIGKILL",
+           ("--reason", str), ("--escalate-after", float),
+           ("--wait", float), ("--poll", float))
+    arg = action("gc", "remove jobs terminal for more than --ttl s",
+                 ("--ttl", float), ("--keep-last", int), job_id=False)
+    arg("--include-failed", action="store_true")
+    action("ledger", "all jobs + exactly-once and transition audits",
+           job_id=False)
+    return top
 
 
 def _overview() -> None:
@@ -312,103 +284,44 @@ def _overview() -> None:
           f"x_O = {x[gas.db.index['O']]:.3f} (mostly dissociated)")
 
 
-def _parse_figures(args: list[str]) -> dict:
-    """Parse ``figures`` flags into :func:`run_all` /
-    :func:`run_all_farm` kwargs (farm mode flagged as ``"farm"``)."""
-    kwargs: dict = {"quick": True, "checkpoint_dir": None,
-                    "resume": False}
-    budgets: dict = {}
-    isolate = False
-    farm, n_workers, queue_dir = False, 4, None
-    it = iter(args)
-    for a in it:
-        if a == "--full":
-            kwargs["quick"] = False
-        elif a == "--resume":
-            kwargs["resume"] = True
-        elif a == "--isolate":
-            isolate = True
-        elif a == "--farm":
-            farm = True
-        elif a == "-j":
-            n_workers = _positive_int("figures", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("figures", "-j", a.split("=", 1)[1])
-        elif a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error("figures", "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--checkpoint-dir":
-            kwargs["checkpoint_dir"] = next(it, None)
-            if kwargs["checkpoint_dir"] is None:
-                _usage_error("figures",
-                             "--checkpoint-dir needs a directory")
-        elif a.startswith("--checkpoint-dir="):
-            kwargs["checkpoint_dir"] = a.split("=", 1)[1]
-        elif a in ("--deadline", "--stall-timeout", "--memory-mb"):
-            key = {"--deadline": "deadline",
-                   "--stall-timeout": "stall_timeout",
-                   "--memory-mb": "memory_mb"}[a]
-            budgets[key] = _positive_float("figures", a, next(it, None))
-        elif (a.startswith("--deadline=")
-              or a.startswith("--stall-timeout=")
-              or a.startswith("--memory-mb=")):
-            flag, value = a.split("=", 1)
-            key = {"--deadline": "deadline",
-                   "--stall-timeout": "stall_timeout",
-                   "--memory-mb": "memory_mb"}[flag]
-            budgets[key] = _positive_float("figures", flag, value)
-        else:
-            _usage_error("figures", f"unknown option {a!r}")
+def _cmd_figures(*, full, checkpoint_dir, resume, isolate, farm, n_workers,
+                 queue_dir, deadline, stall_timeout, memory_mb) -> int:
+    budgets = {k: v for k, v in (("deadline", deadline),
+                                 ("stall_timeout", stall_timeout),
+                                 ("memory_mb", memory_mb)) if v is not None}
     if farm:
         conflicts = [f for f, on in
-                     (("--isolate", isolate),
-                      ("--resume", kwargs["resume"]),
-                      ("--checkpoint-dir",
-                       kwargs["checkpoint_dir"] is not None)) if on]
+                     (("--isolate", isolate), ("--resume", resume),
+                      ("--checkpoint-dir", checkpoint_dir is not None))
+                     if on]
         if conflicts:
             _usage_error("figures", f"--farm conflicts with "
                          f"{', '.join(conflicts)} (farm workers are "
                          f"already sandboxed; reuse --queue-dir to "
                          f"resume a campaign)")
-        return {"farm": True, "quick": kwargs["quick"],
-                "n_workers": n_workers, "queue_dir": queue_dir,
-                **budgets}
-    if queue_dir is not None or n_workers != 4:
+        from repro.experiments.runner import run_all_farm
+        res = run_all_farm(quick=not full, n_workers=n_workers or 4,
+                           queue_dir=queue_dir, **budgets)
+        return 1 if res["failures"] else 0
+    if queue_dir is not None or n_workers is not None:
         _usage_error("figures", "-j/--queue-dir require --farm")
-    if kwargs["resume"] and kwargs["checkpoint_dir"] is None:
+    if resume and checkpoint_dir is None:
         _usage_error("figures", "--resume requires --checkpoint-dir")
     if budgets and not isolate:
         flags = ", ".join("--" + k.replace("_", "-") for k in budgets)
         _usage_error("figures", f"{flags} require(s) --isolate or "
                      f"--farm")
+    kwargs = {}
     if isolate:
         from repro.resilience import IsolationPolicy
         kwargs["isolate"] = IsolationPolicy(**budgets)
-    return kwargs
-
-
-def _cmd_figures(args: list[str]) -> int:
-    kwargs = _parse_figures(args)
-    if kwargs.pop("farm", False):
-        from repro.experiments.runner import run_all_farm
-        res = run_all_farm(**kwargs)
-    else:
-        from repro.experiments.runner import run_all
-        res = run_all(**kwargs)
+    from repro.experiments.runner import run_all
+    res = run_all(quick=not full, checkpoint_dir=checkpoint_dir,
+                  resume=resume, **kwargs)
     return 1 if res["failures"] else 0
 
 
-def _cmd_stagnation(args: list[str]) -> int:
-    if len(args) != 3:
-        _usage_error("stagnation", "expects V[m/s] h[m] Rn[m]")
-    try:
-        V, h, rn = map(float, args)
-    except ValueError:
-        _usage_error("stagnation",
-                     f"arguments must be numbers, got {args!r}")
+def _cmd_stagnation(*, V, h, rn) -> int:
     from repro.core import stagnation_environment
     env = stagnation_environment(V=V, h=h, nose_radius=rn)
     print(f"V = {V:.0f} m/s, h = {h / 1e3:.1f} km, R_n = {rn} m:")
@@ -420,163 +333,61 @@ def _cmd_stagnation(args: list[str]) -> int:
     return 0
 
 
-def _cmd_chaos(args: list[str]) -> int:
-    rounds, seed, out, deadline = 5, 0, "chaos-reports", None
-    farm, n_workers, kill_workers, queue_dir = False, 2, 2, None
-    hosts, skew, partition = 0, 0.0, False
-    batch_mode, b_requests, b_faulted = False, 200, 20
-    jobs_mode, j_steps = False, 40
-    it = iter(args)
-    for a in it:
-        if a == "--batch":
-            batch_mode = True
-        elif a == "--jobs":
-            jobs_mode = True
-        elif a == "--steps":
-            j_steps = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--steps="):
-            j_steps = _positive_int("chaos", "--steps",
-                                    a.split("=", 1)[1])
-        elif a == "--requests":
-            b_requests = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--requests="):
-            b_requests = _positive_int("chaos", "--requests",
-                                       a.split("=", 1)[1])
-        elif a == "--faulted":
-            b_faulted = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--faulted="):
-            b_faulted = _positive_int("chaos", "--faulted",
-                                      a.split("=", 1)[1])
-        elif a == "--farm":
-            farm = True
-        elif a == "--partition":
-            partition = True
-        elif a == "--hosts":
-            hosts = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--hosts="):
-            hosts = _positive_int("chaos", "--hosts",
-                                  a.split("=", 1)[1])
-        elif a == "--skew":
-            # bare --skew injects the default ±5 s; --skew=S tunes it
-            skew = 5.0
-        elif a.startswith("--skew="):
-            skew = _positive_float("chaos", "--skew",
-                                   a.split("=", 1)[1])
-        elif a == "-j":
-            n_workers = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("chaos", "-j", a.split("=", 1)[1])
-        elif a == "--kill-workers":
-            value = next(it, None)
-            if value is None:
-                _usage_error("chaos", "--kill-workers needs a count")
-            try:
-                kill_workers = int(value)
-            except ValueError:
-                _usage_error("chaos", f"--kill-workers needs an "
-                             f"integer, got {value!r}")
-            if kill_workers < 0:
-                _usage_error("chaos", "--kill-workers must be >= 0")
-        elif a.startswith("--kill-workers="):
-            try:
-                kill_workers = int(a.split("=", 1)[1])
-            except ValueError:
-                _usage_error("chaos", f"--kill-workers needs an "
-                             f"integer, got {a.split('=', 1)[1]!r}")
-            if kill_workers < 0:
-                _usage_error("chaos", "--kill-workers must be >= 0")
-        elif a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error("chaos", "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--rounds":
-            rounds = _positive_int("chaos", a, next(it, None))
-        elif a.startswith("--rounds="):
-            rounds = _positive_int("chaos", "--rounds",
-                                   a.split("=", 1)[1])
-        elif a == "--seed":
-            value = next(it, None)
-            if value is None:
-                _usage_error("chaos", "--seed needs a value")
-            try:
-                seed = int(value)
-            except ValueError:
-                _usage_error("chaos",
-                             f"--seed needs an integer, got {value!r}")
-        elif a.startswith("--seed="):
-            try:
-                seed = int(a.split("=", 1)[1])
-            except ValueError:
-                _usage_error("chaos", f"--seed needs an integer, "
-                             f"got {a.split('=', 1)[1]!r}")
-        elif a == "--out":
-            out = next(it, None)
-            if out is None:
-                _usage_error("chaos", "--out needs a directory")
-        elif a.startswith("--out="):
-            out = a.split("=", 1)[1]
-        elif a == "--deadline":
-            deadline = _positive_float("chaos", a, next(it, None))
-        elif a.startswith("--deadline="):
-            deadline = _positive_float("chaos", "--deadline",
-                                       a.split("=", 1)[1])
-        else:
-            _usage_error("chaos", f"unknown option {a!r}")
-    if jobs_mode:
-        if batch_mode or farm or hosts:
+def _cmd_chaos(*, rounds, seed, out, deadline, farm, n_workers,
+               kill_workers, queue_dir, hosts, skew, partition, batch,
+               requests, faulted, jobs, steps) -> int:
+    if jobs:
+        if batch or farm or hosts is not None:
             _usage_error("chaos", "--jobs excludes --batch/--farm/"
                          "--hosts (it drives its own supervisors)")
         from repro.service.jobs import run_chaos_jobs
-        return run_chaos_jobs(n_steps=j_steps, out=out,
+        return run_chaos_jobs(n_steps=steps or 40, out=out,
                               queue_dir=queue_dir,
-                              deadline=(240.0 if deadline is None
-                                        else deadline))
-    if j_steps != 40:
+                              deadline=deadline or 240.0)
+    if steps is not None:
         _usage_error("chaos", "--steps requires --jobs")
-    if batch_mode:
-        if farm or hosts or queue_dir is not None:
+    if batch:
+        if farm or hosts is not None or queue_dir is not None:
             _usage_error("chaos", "--batch excludes --farm/--hosts/"
                          "--queue-dir (use 'batch --farm' for the "
                          "farm-sharded service path)")
-        if b_faulted >= b_requests:
-            _usage_error("chaos", f"--faulted {b_faulted} must be "
-                         f"below --requests {b_requests}")
+        requests, faulted = requests or 200, faulted or 20
+        if faulted >= requests:
+            _usage_error("chaos", f"--faulted {faulted} must be "
+                         f"below --requests {requests}")
         from repro.service.chaos import run_chaos_batch
-        return run_chaos_batch(requests=b_requests, faulted=b_faulted,
+        return run_chaos_batch(requests=requests, faulted=faulted,
                                seed=seed, out=out,
-                               deadline=(120.0 if deadline is None
-                                         else deadline))
-    if b_requests != 200 or b_faulted != 20:
+                               deadline=deadline or 120.0)
+    if requests is not None or faulted is not None:
         _usage_error("chaos", "--requests/--faulted require --batch")
-    if hosts and not farm:
+    if hosts is not None and not farm:
         _usage_error("chaos", "--hosts requires --farm")
-    if (skew or partition) and not hosts:
+    if (skew is not None or partition) and hosts is None:
         _usage_error("chaos", "--skew/--partition require --hosts N")
-    if hosts:
+    if hosts is not None:
         # distributed mode: --rounds counts bitwise-verified solver
         # jobs and --deadline bounds the whole campaign
         from repro.resilience.chaos import run_chaos_hosts
         return run_chaos_hosts(
             hosts=hosts, rounds=rounds, seed=seed, out=out,
-            n_workers=n_workers, skew=skew, partition=partition,
-            deadline=240.0 if deadline is None else deadline,
+            n_workers=n_workers or 2, skew=skew or 0.0,
+            partition=partition, deadline=deadline or 240.0,
             queue_dir=queue_dir)
-    if deadline is None:
-        deadline = 30.0
     if farm:
         from repro.resilience.chaos import run_chaos_farm
-        return run_chaos_farm(rounds=rounds, seed=seed, out=out,
-                              deadline=deadline, n_workers=n_workers,
-                              kill_workers=kill_workers,
-                              queue_dir=queue_dir)
-    if n_workers != 2 or kill_workers != 2 or queue_dir is not None:
+        return run_chaos_farm(
+            rounds=rounds, seed=seed, out=out, deadline=deadline or 30.0,
+            n_workers=n_workers or 2,
+            kill_workers=2 if kill_workers is None else kill_workers,
+            queue_dir=queue_dir)
+    if (n_workers is not None or kill_workers is not None
+            or queue_dir is not None):
         _usage_error("chaos",
                      "-j/--kill-workers/--queue-dir require --farm")
     from repro.resilience.chaos import run_chaos
     return run_chaos(rounds=rounds, seed=seed, out=out,
-                     deadline=deadline)
+                     deadline=deadline or 30.0)
 
 
 def _degrade_smoke(out: str) -> int:
@@ -663,22 +474,6 @@ def _degrade_smoke(out: str) -> int:
     return 0
 
 
-def _cmd_degrade_smoke(args: list[str]) -> int:
-    out = "degradation_ledger.json"
-    rest = list(args)
-    if rest and rest[0] == "--out":
-        if len(rest) < 2:
-            _usage_error("degrade-smoke", "--out needs a path")
-        out = rest[1]
-        rest = rest[2:]
-    elif rest and rest[0].startswith("--out="):
-        out = rest[0].split("=", 1)[1]
-        rest = rest[1:]
-    if rest:
-        _usage_error("degrade-smoke", f"unknown option {rest[0]!r}")
-    return _degrade_smoke(out)
-
-
 def _merge_ledgers_cmd(paths: list[str], ledger_file: str | None,
                        queue_dir: str | None) -> int:
     """``campaign --merge-ledgers``: fold per-host campaign ledgers
@@ -721,97 +516,10 @@ def _merge_ledgers_cmd(paths: list[str], ledger_file: str | None,
     return 0 if ok else 1
 
 
-def _cmd_campaign(args: list[str]) -> int:
-    figures, jobs_file, n_workers, full = False, None, 4, False
-    queue_dir, ledger_file, bench_file = None, None, None
-    compare_serial, kill_workers, seed, deadline = False, 0, 0, None
-    merge_paths: list[str] = []
-    retry_dead, host_id, max_skew = False, None, 2.0
-    it = iter(args)
-    for a in it:
-        if a == "--figures":
-            figures = True
-        elif a == "--full":
-            full = True
-        elif a == "--compare-serial":
-            compare_serial = True
-        elif a == "--retry-dead-letters":
-            retry_dead = True
-        elif a == "--merge-ledgers":
-            value = next(it, None)
-            if value is None:
-                _usage_error("campaign", "--merge-ledgers needs ledger "
-                             "path(s), comma-separated or repeated")
-            merge_paths.extend(p for p in value.split(",") if p)
-        elif a.startswith("--merge-ledgers="):
-            merge_paths.extend(p for p in
-                               a.split("=", 1)[1].split(",") if p)
-        elif a == "--host-id":
-            host_id = next(it, None)
-            if host_id is None:
-                _usage_error("campaign", "--host-id needs a name")
-        elif a.startswith("--host-id="):
-            host_id = a.split("=", 1)[1]
-        elif a == "--max-skew":
-            max_skew = _positive_float("campaign", a, next(it, None))
-        elif a.startswith("--max-skew="):
-            max_skew = _positive_float("campaign", "--max-skew",
-                                       a.split("=", 1)[1])
-        elif a == "-j":
-            n_workers = _positive_int("campaign", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("campaign", "-j",
-                                      a.split("=", 1)[1])
-        elif a == "--kill-workers":
-            kill_workers = _positive_int("campaign", a, next(it, None))
-        elif a.startswith("--kill-workers="):
-            kill_workers = _positive_int("campaign", "--kill-workers",
-                                         a.split("=", 1)[1])
-        elif a == "--seed":
-            value = next(it, None)
-            if value is None:
-                _usage_error("campaign", "--seed needs a value")
-            try:
-                seed = int(value)
-            except ValueError:
-                _usage_error("campaign",
-                             f"--seed needs an integer, got {value!r}")
-        elif a.startswith("--seed="):
-            try:
-                seed = int(a.split("=", 1)[1])
-            except ValueError:
-                _usage_error("campaign", f"--seed needs an integer, "
-                             f"got {a.split('=', 1)[1]!r}")
-        elif a == "--deadline":
-            deadline = _positive_float("campaign", a, next(it, None))
-        elif a.startswith("--deadline="):
-            deadline = _positive_float("campaign", "--deadline",
-                                       a.split("=", 1)[1])
-        elif a in ("--jobs", "--queue-dir", "--ledger", "--bench"):
-            value = next(it, None)
-            if value is None:
-                _usage_error("campaign", f"{a} needs a path")
-            if a == "--jobs":
-                jobs_file = value
-            elif a == "--queue-dir":
-                queue_dir = value
-            elif a == "--ledger":
-                ledger_file = value
-            else:
-                bench_file = value
-        elif (a.startswith("--jobs=") or a.startswith("--queue-dir=")
-              or a.startswith("--ledger=") or a.startswith("--bench=")):
-            flag, value = a.split("=", 1)
-            if flag == "--jobs":
-                jobs_file = value
-            elif flag == "--queue-dir":
-                queue_dir = value
-            elif flag == "--ledger":
-                ledger_file = value
-            else:
-                bench_file = value
-        else:
-            _usage_error("campaign", f"unknown option {a!r}")
+def _cmd_campaign(*, figures, jobs_file, retry_dead, merge_paths, n_workers,
+                  full, queue_dir, ledger_file, bench_file, compare_serial,
+                  kill_workers, seed, deadline, host_id,
+                  max_skew) -> int:
     if merge_paths:
         if figures or jobs_file or retry_dead or compare_serial:
             _usage_error("campaign", "--merge-ledgers merges existing "
@@ -837,10 +545,30 @@ def _cmd_campaign(args: list[str]) -> int:
     import tempfile
     import time
 
+    from repro.errors import InputError
     from repro.resilience.farm import (Farm, FarmPolicy, WorkerKillPlan,
                                        bench_from_journal,
                                        write_bench_json)
     from repro.resilience.queue import Job, WorkQueue
+
+    if jobs_file is not None:
+        # validated before any queue directory is created
+        try:
+            with open(jobs_file) as f:
+                specs = json.load(f)
+        except (OSError, ValueError) as exc:
+            _usage_error("campaign",
+                         f"cannot read --jobs {jobs_file!r}: {exc}")
+        if not isinstance(specs, list):
+            _usage_error("campaign", "--jobs FILE must hold a JSON "
+                         "list of job specs")
+        jobs = []
+        for i, spec in enumerate(specs):
+            try:
+                jobs.append(Job.from_dict(spec))
+            except (KeyError, TypeError, ValueError, InputError) as exc:
+                _usage_error("campaign", f"--jobs spec #{i} is not a job "
+                             f"spec ({type(exc).__name__}: {exc})")
 
     serial_wall = None
     if compare_serial:
@@ -877,16 +605,6 @@ def _cmd_campaign(args: list[str]) -> int:
         for job in jobs:
             queue.enqueue(job)
     else:
-        try:
-            with open(jobs_file) as f:
-                specs = json.load(f)
-        except (OSError, ValueError) as exc:
-            _usage_error("campaign",
-                         f"cannot read --jobs {jobs_file!r}: {exc}")
-        if not isinstance(specs, list):
-            _usage_error("campaign", "--jobs FILE must hold a JSON "
-                         "list of job specs")
-        jobs = [Job.from_dict(s) for s in specs]
         for job in jobs:
             queue.enqueue(job)
     plan = None
@@ -924,71 +642,8 @@ def _cmd_campaign(args: list[str]) -> int:
     return 0 if ledger["ok"] and not n_dead else 1
 
 
-def _float_any(prefix: str, flag: str, value: str | None) -> float:
-    """A float flag that may legitimately be negative (clock offsets,
-    skews injected in either direction)."""
-    if value is None:
-        _usage_error(prefix, f"{flag} needs a value")
-    try:
-        return float(value)
-    except ValueError:
-        _usage_error(prefix, f"{flag} needs a number, got {value!r}")
-
-
-def _cmd_serve(args: list[str]) -> int:
-    queue_dir, n_workers, lease_ttl, poll = None, 2, 15.0, 0.25
-    host_id, max_skew, clock_offset = None, 2.0, 0.0
-    ledger_file = None
-    it = iter(args)
-    for a in it:
-        if a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error("serve", "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--host-id":
-            host_id = next(it, None)
-            if host_id is None:
-                _usage_error("serve", "--host-id needs a name")
-        elif a.startswith("--host-id="):
-            host_id = a.split("=", 1)[1]
-        elif a == "-j":
-            n_workers = _positive_int("serve", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("serve", "-j", a.split("=", 1)[1])
-        elif a == "--lease-ttl":
-            lease_ttl = _positive_float("serve", a, next(it, None))
-        elif a.startswith("--lease-ttl="):
-            lease_ttl = _positive_float("serve", "--lease-ttl",
-                                        a.split("=", 1)[1])
-        elif a == "--max-skew":
-            max_skew = _positive_float("serve", a, next(it, None))
-        elif a.startswith("--max-skew="):
-            max_skew = _positive_float("serve", "--max-skew",
-                                       a.split("=", 1)[1])
-        elif a == "--clock-offset":
-            # chaos/testing knob: inject wall-clock skew (either sign)
-            clock_offset = _float_any("serve", a, next(it, None))
-        elif a.startswith("--clock-offset="):
-            clock_offset = _float_any("serve", "--clock-offset",
-                                      a.split("=", 1)[1])
-        elif a == "--poll":
-            poll = _positive_float("serve", a, next(it, None))
-        elif a.startswith("--poll="):
-            poll = _positive_float("serve", "--poll",
-                                   a.split("=", 1)[1])
-        elif a == "--ledger":
-            ledger_file = next(it, None)
-            if ledger_file is None:
-                _usage_error("serve", "--ledger needs a path")
-        elif a.startswith("--ledger="):
-            ledger_file = a.split("=", 1)[1]
-        else:
-            _usage_error("serve", f"unknown option {a!r}")
-    if queue_dir is None:
-        _usage_error("serve", "--queue-dir is required (the durable "
-                     "queue other processes enqueue into)")
+def _cmd_serve(*, queue_dir, n_workers, lease_ttl, poll, host_id, max_skew,
+               clock_offset, ledger_file) -> int:
     import json
 
     from repro.resilience.farm import Farm, FarmPolicy
@@ -1032,86 +687,11 @@ def _read_jsonl_requests(path: str | None) -> list:
     return requests
 
 
-def _cmd_batch(args: list[str]) -> int:
+def _cmd_batch(*, infile, out, ledger_file, bench_file, deadline,
+               request_deadline, shed_above, isolate, allow_faults, dedup,
+               farm, n_workers, queue_dir, chunk_size) -> int:
     import json
 
-    infile, out, ledger_file, bench_file = None, None, None, None
-    farm, n_workers, queue_dir, chunk_size = False, None, None, None
-    deadline, request_deadline, shed_above = None, None, None
-    isolate, allow_faults, dedup = "auto", False, True
-    it = iter(args)
-    for a in it:
-        if a == "--farm":
-            farm = True
-        elif a == "--allow-faults":
-            allow_faults = True
-        elif a == "--no-dedup":
-            dedup = False
-        elif a == "-j":
-            n_workers = _positive_int("batch", a, next(it, None))
-        elif a.startswith("-j="):
-            n_workers = _positive_int("batch", "-j", a.split("=", 1)[1])
-        elif a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error("batch", "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--chunk-size":
-            chunk_size = _positive_int("batch", a, next(it, None))
-        elif a.startswith("--chunk-size="):
-            chunk_size = _positive_int("batch", "--chunk-size",
-                                       a.split("=", 1)[1])
-        elif a == "--deadline":
-            deadline = _positive_float("batch", a, next(it, None))
-        elif a.startswith("--deadline="):
-            deadline = _positive_float("batch", "--deadline",
-                                       a.split("=", 1)[1])
-        elif a == "--request-deadline":
-            request_deadline = _positive_float("batch", a,
-                                               next(it, None))
-        elif a.startswith("--request-deadline="):
-            request_deadline = _positive_float(
-                "batch", "--request-deadline", a.split("=", 1)[1])
-        elif a == "--shed-above":
-            shed_above = _positive_int("batch", a, next(it, None))
-        elif a.startswith("--shed-above="):
-            shed_above = _positive_int("batch", "--shed-above",
-                                       a.split("=", 1)[1])
-        elif a == "--isolate":
-            isolate = next(it, None)
-            if isolate not in ("auto", "always", "never"):
-                _usage_error("batch", f"--isolate needs auto/always/"
-                             f"never, got {isolate!r}")
-        elif a.startswith("--isolate="):
-            isolate = a.split("=", 1)[1]
-            if isolate not in ("auto", "always", "never"):
-                _usage_error("batch", f"--isolate needs auto/always/"
-                             f"never, got {isolate!r}")
-        elif a == "--out":
-            out = next(it, None)
-            if out is None:
-                _usage_error("batch", "--out needs a path")
-        elif a.startswith("--out="):
-            out = a.split("=", 1)[1]
-        elif a == "--ledger":
-            ledger_file = next(it, None)
-            if ledger_file is None:
-                _usage_error("batch", "--ledger needs a path")
-        elif a.startswith("--ledger="):
-            ledger_file = a.split("=", 1)[1]
-        elif a == "--bench":
-            bench_file = next(it, None)
-            if bench_file is None:
-                _usage_error("batch", "--bench needs a path")
-        elif a.startswith("--bench="):
-            bench_file = a.split("=", 1)[1]
-        elif a.startswith("-"):
-            _usage_error("batch", f"unknown option {a!r}")
-        elif infile is None:
-            infile = a
-        else:
-            _usage_error("batch", f"unexpected argument {a!r}")
     if not farm and (queue_dir is not None or chunk_size is not None
                      or n_workers is not None):
         _usage_error("batch", "-j/--queue-dir/--chunk-size require "
@@ -1170,86 +750,14 @@ def _cmd_batch(args: list[str]) -> int:
     return 0 if led.get("ok") and n_failed == 0 else 1
 
 
-def _cmd_jobs(args: list[str]) -> int:
+def _cmd_jobs(*, action, queue_dir, job_id=None, kind=None,
+              payload_arg=None, **opts) -> int:
     """``jobs ACTION`` — the async-job client surface.  Every action
     prints one JSON object (or one per change, for ``watch``) so the
     output is scriptable; exit 0 on success, 1 when the job itself
     failed or an audit is violated, 2 on usage errors."""
     import json
-    if not args:
-        _usage_error("jobs", "expects an action: submit, status, "
-                     "watch, result, cancel, gc, ledger")
-    action, rest = args[0], args[1:]
-    if action not in ("submit", "status", "watch", "result", "cancel",
-                      "gc", "ledger"):
-        _usage_error("jobs", f"unknown action {action!r}")
     prefix = f"jobs {action}"
-    queue_dir, job_id, payload_arg, kind = None, None, None, None
-    opts: dict = {}
-    flags_num = {"--max-attempts": ("max_attempts", int),
-                 "--priority": ("priority", int),
-                 "--keep-last": ("keep_last", int),
-                 "--deadline": ("deadline", float),
-                 "--memory-mb": ("memory_mb", float),
-                 "--stall-timeout": ("stall_timeout", float),
-                 "--timeout": ("timeout", float),
-                 "--wait": ("wait", float),
-                 "--poll": ("poll", float),
-                 "--escalate-after": ("escalate_after", float),
-                 "--ttl": ("ttl", float)}
-    it = iter(rest)
-    for a in it:
-        if a == "--queue-dir":
-            queue_dir = next(it, None)
-            if queue_dir is None:
-                _usage_error(prefix, "--queue-dir needs a directory")
-        elif a.startswith("--queue-dir="):
-            queue_dir = a.split("=", 1)[1]
-        elif a == "--id":
-            job_id = next(it, None)
-            if job_id is None:
-                _usage_error(prefix, "--id needs a job id")
-        elif a.startswith("--id="):
-            job_id = a.split("=", 1)[1]
-        elif a == "--reason":
-            opts["reason"] = next(it, None)
-            if opts["reason"] is None:
-                _usage_error(prefix, "--reason needs text")
-        elif a.startswith("--reason="):
-            opts["reason"] = a.split("=", 1)[1]
-        elif a == "--include-failed":
-            opts["include_failed"] = True
-        elif a in flags_num or a.split("=", 1)[0] in flags_num:
-            flag, _, inline = a.partition("=")
-            key, cast = flags_num[flag]
-            value = inline if inline else next(it, None)
-            if value is None:
-                _usage_error(prefix, f"{flag} needs a value")
-            try:
-                opts[key] = cast(value)
-            except ValueError:
-                _usage_error(prefix, f"{flag} needs a number, "
-                             f"got {value!r}")
-        elif a.startswith("-"):
-            _usage_error(prefix, f"unknown option {a!r}")
-        elif action == "submit" and kind is None:
-            kind = a
-        elif action == "submit" and payload_arg is None:
-            payload_arg = a
-        elif action in ("status", "watch", "result", "cancel") \
-                and job_id is None:
-            job_id = a
-        else:
-            _usage_error(prefix, f"unexpected argument {a!r}")
-    if queue_dir is None:
-        _usage_error(prefix, "--queue-dir is required (the durable "
-                     "queue a 'serve' farm drains)")
-    needs_id = action in ("status", "watch", "result", "cancel")
-    if needs_id and job_id is None:
-        _usage_error(prefix, "expects a job id")
-    if action == "submit" and kind is None:
-        _usage_error(prefix, "expects a job KIND (and optional "
-                     "payload JSON, inline or @FILE)")
 
     from repro.service.jobs import JOB_TERMINAL, FAILED, JobManager
     manager = JobManager(queue_dir)
@@ -1300,35 +808,30 @@ def _cmd_jobs(args: list[str]) -> int:
                  and out["transitions_audit"]["ok"]) else 1
 
 
-_COMMANDS = {
-    "figures": _cmd_figures,
-    "stagnation": _cmd_stagnation,
-    "degrade-smoke": _cmd_degrade_smoke,
-    "chaos": _cmd_chaos,
-    "batch": _cmd_batch,
-    "campaign": _cmd_campaign,
-    "serve": _cmd_serve,
-    "jobs": _cmd_jobs,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv:
         _overview()
         return 0
     cmd = argv[0]
-    if cmd in ("-h", "--help", "help"):
-        print(_USAGE)
-        return 0
-    handler = _COMMANDS.get(cmd)
+    parser = _build_parser()
+    args = None
     try:
-        if handler is None:
-            _usage_error("repro", f"unknown command {cmd!r}")
-        return handler(argv[1:])
+        if cmd == "help":
+            argv = ["--help"]
+        elif not cmd.startswith("-") and cmd not in parser.subcommands:
+            raise _UsageError(f"repro: unknown command {cmd!r}", parser)
+        args = parser.parse_args(argv)
+        return args.run(**{k: v for k, v in vars(args).items()
+                           if k not in ("run", "command", "cmd_parser")})
+    except _HelpShown:
+        return 0
     except _UsageError as err:
+        usage = err.parser or args.cmd_parser
         print(err, file=sys.stderr)
-        print(_USAGE, file=sys.stderr)
+        print(usage.format_usage().rstrip(), file=sys.stderr)
+        print(f"run '{usage.prog} --help' for the flag reference",
+              file=sys.stderr)
         return 2
     except Exception as err:
         from repro.errors import CatError

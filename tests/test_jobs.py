@@ -447,7 +447,15 @@ class TestJobsCLI:
         assert self._run("jobs", "submit", "--queue-dir", qd, "sleep",
                          "not json") == 2
         assert self._run("jobs", "submit", "sleep") == 2  # no queue
-        capsys.readouterr()
+        # another action's flag is that action's usage error
+        assert self._run("jobs", "gc", "--queue-dir", qd, "--wait",
+                         "3") == 2
+        assert self._run("jobs", "submit", "--queue-dir", qd, "sleep",
+                         "--ttl", "5") == 2
+        assert self._run("jobs", "status", "--queue-dir", qd, "x",
+                         "--ttl", "5") == 2
+        assert "usage: python -m repro jobs status" in \
+            capsys.readouterr().err
 
     def test_api_submit_async_handle(self, tmp_path):
         from repro.core import submit_async
